@@ -1150,25 +1150,100 @@ pub fn full_report(scale: Scale) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::OnceLock;
+
+    /// The deterministic `--quick` tables (every experiment but E11, whose
+    /// elapsed column differs run to run), in report order and keyed by
+    /// their `--exp` id.  Computed once per test binary and shared by the
+    /// golden and the shape tests.
+    fn quick_tables() -> &'static [(&'static str, Table)] {
+        static TABLES: OnceLock<Vec<(&'static str, Table)>> = OnceLock::new();
+        TABLES.get_or_init(|| {
+            let scale = Scale::Quick;
+            vec![
+                ("e1", e1_comparison(scale)),
+                ("e2", e2_gadgets(scale)),
+                ("e3", e3_linear_scaling(scale)),
+                ("e3a", e3_ablation(scale)),
+                ("e4", e4_ancillas(scale)),
+                ("e5", e5_controlled_unitary(scale)),
+                ("e6", e6_unitary_synthesis(scale)),
+                ("e7", e7_reversible(scale)),
+                ("e8", e8_clifford_t(scale)),
+                ("e9", e9_lower_bound(scale)),
+                ("e10", e10_peephole(scale)),
+                ("figs", figure_verification()),
+            ]
+        })
+    }
+
+    fn quick_table(id: &str) -> &'static Table {
+        quick_tables()
+            .iter()
+            .find(|(table_id, _)| *table_id == id)
+            .map(|(_, table)| table)
+            .unwrap_or_else(|| panic!("no quick table {id}"))
+    }
+
+    /// The exact `--quick` markdown of every deterministic table must match
+    /// the checked-in golden, so no refactor moves a paper number silently.
+    /// Regenerate after an intentional change with
+    /// `QUDIT_BLESS=1 cargo test -p qudit-bench quick_tables_match_the_golden`.
+    #[test]
+    fn quick_tables_match_the_golden() {
+        let rendered = quick_tables()
+            .iter()
+            .map(|(_, table)| table.to_markdown())
+            .collect::<Vec<_>>()
+            .join("\n");
+        let golden_path =
+            std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("quick_tables.expected");
+        if std::env::var_os("QUDIT_BLESS").is_some() {
+            std::fs::write(&golden_path, &rendered).unwrap();
+            return;
+        }
+        let golden = std::fs::read_to_string(&golden_path).unwrap_or_else(|e| {
+            panic!(
+                "missing golden {} ({e}); run with QUDIT_BLESS=1 to create it",
+                golden_path.display()
+            )
+        });
+        if rendered != golden {
+            let diff: Vec<String> = golden
+                .lines()
+                .zip(rendered.lines())
+                .enumerate()
+                .filter(|(_, (expected, actual))| expected != actual)
+                .map(|(line, (expected, actual))| {
+                    format!("line {}:\n  - {expected}\n  + {actual}", line + 1)
+                })
+                .collect();
+            panic!(
+                "quick tables drifted from the golden ({} vs {} lines; QUDIT_BLESS=1 regenerates):\n{}",
+                golden.lines().count(),
+                rendered.lines().count(),
+                diff.join("\n")
+            );
+        }
+    }
 
     #[test]
     fn quick_tables_have_rows() {
-        assert!(!e2_gadgets(Scale::Quick).rows.is_empty());
-        assert!(!e4_ancillas(Scale::Quick).rows.is_empty());
-        assert!(!e9_lower_bound(Scale::Quick).rows.is_empty());
+        for (id, table) in quick_tables() {
+            assert!(!table.rows.is_empty(), "{id} has no rows");
+        }
     }
 
     #[test]
     fn figure_verification_all_pass() {
-        let table = figure_verification();
-        for row in &table.rows {
+        for row in &quick_table("figs").rows {
             assert_eq!(row.last().unwrap(), "true", "row failed: {row:?}");
         }
     }
 
     #[test]
     fn e1_shows_linear_vs_exponential_shape() {
-        let table = e1_comparison(Scale::Quick);
+        let table = quick_table("e1");
         // For d = 3, the exponential baseline must exceed ours at k = 8.
         let row = table
             .rows
@@ -1185,7 +1260,7 @@ mod tests {
 
     #[test]
     fn e8_model_overtakes_ours_for_large_k() {
-        let table = e8_clifford_t(Scale::Quick);
+        let table = quick_table("e8");
         let last = table.rows.last().unwrap();
         let ratio: f64 = last[3].parse().unwrap();
         assert!(ratio > 0.0);
@@ -1286,7 +1361,7 @@ mod tests {
 
     #[test]
     fn e10_depth_scheduling_reduces_mean_depth() {
-        let table = e10_peephole(Scale::Quick);
+        let table = quick_table("e10");
         let col = |name: &str| {
             table
                 .headers
