@@ -16,7 +16,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qudit_core::pool::WorkStealingPool;
 use qudit_core::{Circuit, Dimension};
-use qudit_sim::equivalence::circuits_equal_up_to_phase_with;
+use qudit_sim::equivalence::circuits_equal_up_to_phase;
 use qudit_sim::random::random_clifford_circuit;
 use qudit_sim::stabilizer::clifford_circuits_equal_on;
 use qudit_sim::{clifford_circuits_equal, SimBackend};
@@ -38,7 +38,7 @@ fn bench_overlapping_widths(c: &mut Criterion) {
         let b = a.clone();
         // Cross-check once: the tableau verdict must match the dense
         // unitary comparison on every width both strategies can reach.
-        let dense_verdict = circuits_equal_up_to_phase_with(&a, &b, SimBackend::Dense).unwrap();
+        let dense_verdict = circuits_equal_up_to_phase(&a, &b, SimBackend::Dense).unwrap();
         let tableau_verdict = clifford_circuits_equal(&a, &b).unwrap();
         assert_eq!(
             dense_verdict, tableau_verdict,
@@ -50,7 +50,7 @@ fn bench_overlapping_widths(c: &mut Criterion) {
             BenchmarkId::new("dense", format!("w{width}")),
             &(&a, &b),
             |bench, (a, b)| {
-                bench.iter(|| circuits_equal_up_to_phase_with(a, b, SimBackend::Dense).unwrap())
+                bench.iter(|| circuits_equal_up_to_phase(a, b, SimBackend::Dense).unwrap())
             },
         );
         group.bench_with_input(

@@ -14,7 +14,7 @@ use qudit_core::topology::CouplingGraph;
 use qudit_core::{Dimension, QuditId, SingleQuditOp};
 use qudit_reversible::{lower_bound, ReversibleFunction, ReversibleSynthesizer};
 use qudit_sim::equivalence::{
-    verify_mct_exhaustive, verify_mct_exhaustive_with, verify_mct_sampled_with, MctSpec,
+    verify_mct_exhaustive, verify_mct_sampled, verify_mct_with_clean_ancilla, MctSpec,
 };
 use qudit_sim::random::random_unitary;
 use qudit_sim::{is_clifford_circuit, SimBackend};
@@ -218,7 +218,9 @@ pub fn e2_gadgets(scale: Scale) -> Table {
         let mut circuit = qudit_core::Circuit::new(dimension, width);
         circuit.extend_gates(gates).unwrap();
         let spec = MctSpec::toffoli(vec![QuditId::new(0), QuditId::new(1)], QuditId::new(2));
-        let verified = verify_mct_exhaustive(&circuit, &spec).unwrap().is_pass();
+        let verified = verify_mct_exhaustive(&circuit, &spec, SimBackend::Auto)
+            .unwrap()
+            .is_pass();
         let g = lowering_compiler(dimension, width)
             .compile(&circuit)
             .unwrap()
@@ -367,22 +369,22 @@ pub fn e10_table_from_results(
             .expect("the scheduled pipeline ends with depth scheduling");
         let (depth_before, depth_after) = (schedule.before.depth, schedule.after.depth);
         // Verify that the optimised circuit still implements the Toffoli
-        // (sampled for larger registers, exhaustive for small ones), routed
-        // through the Auto simulation backend: the optimised circuits are
-        // fully classical, so Auto resolves to the sparse engine and every
-        // checked input stays at one nonzero amplitude.
+        // (sampled for larger registers, exhaustive for small ones).  The
+        // optimised circuits are fully classical, so the verifiers propagate
+        // each basis state directly; the `sim backend` column reports the
+        // engine Auto resolves to for them (the sparse one).
         let spec = MctSpec::toffoli(
             synthesis.layout().controls.clone(),
             synthesis.layout().target,
         );
         let backend = SimBackend::Auto.resolve(&report.circuit);
         let verified = if dim(d).register_size(synthesis.layout().width) <= 4096 {
-            verify_mct_exhaustive_with(&report.circuit, &spec, backend)
+            verify_mct_exhaustive(&report.circuit, &spec, backend)
                 .unwrap()
                 .is_pass()
         } else {
             let mut rng = StdRng::seed_from_u64(5);
-            verify_mct_sampled_with(&report.circuit, &spec, 100, &mut rng, backend)
+            verify_mct_sampled(&report.circuit, &spec, 100, &mut rng, backend)
                 .unwrap()
                 .is_pass()
         };
@@ -952,6 +954,7 @@ pub fn figure_verification() -> Table {
         let ok = verify_mct_exhaustive(
             &circuit,
             &MctSpec::toffoli(vec![QuditId::new(0), QuditId::new(1)], QuditId::new(2)),
+            SimBackend::Auto,
         )
         .unwrap()
         .is_pass();
@@ -970,7 +973,7 @@ pub fn figure_verification() -> Table {
             synthesis.layout().controls.clone(),
             synthesis.layout().target,
         );
-        let ok = verify_mct_exhaustive(synthesis.circuit(), &spec)
+        let ok = verify_mct_exhaustive(synthesis.circuit(), &spec, SimBackend::Auto)
             .unwrap()
             .is_pass();
         push(
@@ -998,6 +1001,7 @@ pub fn figure_verification() -> Table {
         let ok = verify_mct_exhaustive(
             &circuit,
             &MctSpec::toffoli(vec![QuditId::new(0), QuditId::new(1)], QuditId::new(2)),
+            SimBackend::Auto,
         )
         .unwrap()
         .is_pass();
@@ -1029,7 +1033,9 @@ pub fn figure_verification() -> Table {
             target: QuditId::new(4),
             op: SingleQuditOp::Add(1),
         };
-        let ok = verify_mct_exhaustive(&circuit, &spec).unwrap().is_pass();
+        let ok = verify_mct_exhaustive(&circuit, &spec, SimBackend::Auto)
+            .unwrap()
+            .is_pass();
         push(
             &mut table,
             "Fig. 7",
@@ -1046,7 +1052,7 @@ pub fn figure_verification() -> Table {
             synthesis.layout().controls.clone(),
             synthesis.layout().target,
         );
-        let ok = verify_mct_exhaustive(synthesis.circuit(), &spec)
+        let ok = verify_mct_exhaustive(synthesis.circuit(), &spec, SimBackend::Auto)
             .unwrap()
             .is_pass();
         push(
@@ -1068,10 +1074,11 @@ pub fn figure_verification() -> Table {
             target: synthesis.layout().target,
             op: SingleQuditOp::Add(2),
         };
-        let ok = qudit_sim::equivalence::verify_mct_with_clean_ancilla(
+        let ok = verify_mct_with_clean_ancilla(
             synthesis.circuit(),
             &spec,
             synthesis.layout().clean_ancilla,
+            SimBackend::Auto,
         )
         .unwrap()
         .is_pass();
@@ -1456,12 +1463,12 @@ mod tests {
             );
             let backend = SimBackend::Auto.resolve(&report.circuit);
             let verified = if dim(d).register_size(report.circuit.width()) <= 4096 {
-                verify_mct_exhaustive_with(&report.circuit, &spec, backend)
+                verify_mct_exhaustive(&report.circuit, &spec, backend)
                     .unwrap()
                     .is_pass()
             } else {
                 let mut rng = StdRng::seed_from_u64(7);
-                verify_mct_sampled_with(&report.circuit, &spec, 50, &mut rng, backend)
+                verify_mct_sampled(&report.circuit, &spec, 50, &mut rng, backend)
                     .unwrap()
                     .is_pass()
             };

@@ -5,13 +5,12 @@
 //! computational basis state (borrowed-ancilla semantics) or for every basis
 //! state with the clean ancilla in `|0⟩` (clean-ancilla semantics).
 
-use qudit_core::math::{SquareMatrix, MATRIX_TOLERANCE};
+use qudit_core::math::MATRIX_TOLERANCE;
 use qudit_core::{Circuit, Dimension, QuditId, Result, SingleQuditOp};
 use rand::Rng;
 
-use crate::basis::{all_basis_states, index_to_digits};
+use crate::basis::all_basis_states;
 use crate::sparse::{circuit_unitary_with, SimBackend, SimState};
-use crate::statevector::circuit_unitary;
 
 /// Specification of a multi-controlled gate `|0^k⟩-op`.
 ///
@@ -111,33 +110,26 @@ where
     })
 }
 
-/// The direct (basis-propagation) checker used by the classical verifiers.
-fn direct_checker(
-    circuit: &Circuit,
-) -> impl FnMut(&[u32], &[u32]) -> Result<Option<Vec<u32>>> + '_ {
-    move |input, expected| {
-        let actual = circuit.apply_to_basis(input)?;
-        Ok((actual != expected).then_some(actual))
-    }
-}
-
-/// The engine-routed checker used by the `_with` verifiers: simulates each
-/// input on the resolved backend and reads the verdict off the final state
-/// *without densifying it* — on the sparse engine a classical circuit keeps
-/// each input at a single nonzero amplitude, so memory stays `O(1)` per
-/// input regardless of the register size.
-fn engine_checker(
+/// The per-input checker every verifier shares, selected by an observable
+/// property of the circuit: a classical circuit propagates each basis state
+/// directly (the cheapest exact check); any other circuit is simulated on
+/// the engine `backend` resolves to, and the verdict is read off the final
+/// state *without densifying it*.  This is the rule
+/// [`VerifyEquivalence`](crate::VerifyEquivalence) follows too.
+fn checker(
     circuit: &Circuit,
     backend: SimBackend,
 ) -> impl FnMut(&[u32], &[u32]) -> Result<Option<Vec<u32>>> + '_ {
-    let resolved = backend.resolve(circuit);
-    move |input, expected| {
-        let mut state = SimState::from_basis(circuit.dimension(), input, resolved)?;
-        state.apply_circuit(circuit)?;
-        if state.probability(expected) < 1.0 - 1e-9 {
-            Ok(Some(state.dominant_basis_state()))
-        } else {
-            Ok(None)
+    let engine = (!circuit.is_classical()).then(|| backend.resolve(circuit));
+    move |input, expected| match engine {
+        None => {
+            let actual = circuit.apply_to_basis(input)?;
+            Ok((actual != expected).then_some(actual))
+        }
+        Some(resolved) => {
+            let mut state = SimState::from_basis(circuit.dimension(), input, resolved)?;
+            state.apply_circuit(circuit)?;
+            Ok((state.probability(expected) < 1.0 - 1e-9).then(|| state.dominant_basis_state()))
         }
     }
 }
@@ -166,187 +158,91 @@ fn sampled_inputs<'a, R: Rng>(
     })
 }
 
-/// Exhaustively verifies that a classical circuit implements an [`MctSpec`]
-/// with borrowed-ancilla semantics (every non-target qudit restored).
+/// Exhaustively verifies that a circuit implements an [`MctSpec`] with
+/// borrowed-ancilla semantics (every non-target qudit restored).
+///
+/// Classical circuits are checked by direct basis-state propagation; any
+/// other circuit is simulated on the engine `backend` resolves to (`Auto`
+/// picks one by scanning the circuit).
 ///
 /// # Errors
 ///
-/// Returns an error when the circuit is non-classical or the specification
-/// refers to qudits outside the circuit.
-pub fn verify_mct_exhaustive(circuit: &Circuit, spec: &MctSpec) -> Result<Verification> {
+/// Returns an error when the specification is non-classical or refers to
+/// qudits outside the circuit.
+pub fn verify_mct_exhaustive(
+    circuit: &Circuit,
+    spec: &MctSpec,
+    backend: SimBackend,
+) -> Result<Verification> {
     let dimension = circuit.dimension();
     run_verification(
         dimension,
         spec,
         all_basis_states(dimension, circuit.width()),
-        direct_checker(circuit),
+        checker(circuit, backend),
     )
 }
 
-/// Verifies an [`MctSpec`] on `samples` uniformly random basis states.
+/// [`verify_mct_exhaustive`] on `samples` random basis states.
 ///
-/// Use this for registers too large for exhaustive checking.
+/// Use this for registers too large for exhaustive checking.  For classical
+/// circuits every sample costs `O(gates)` time and `O(width)` memory,
+/// whatever the register size.
 ///
 /// # Errors
 ///
-/// Returns an error when the circuit is non-classical or the specification
-/// refers to qudits outside the circuit.
+/// Returns an error when the specification is non-classical or refers to
+/// qudits outside the circuit.
 pub fn verify_mct_sampled<R: Rng>(
     circuit: &Circuit,
     spec: &MctSpec,
     samples: usize,
     rng: &mut R,
+    backend: SimBackend,
 ) -> Result<Verification> {
     let dimension = circuit.dimension();
     let inputs: Vec<Vec<u32>> =
         sampled_inputs(dimension, circuit.width(), spec, samples, rng).collect();
-    run_verification(dimension, spec, inputs, direct_checker(circuit))
+    run_verification(dimension, spec, inputs, checker(circuit, backend))
 }
 
-/// Exhaustively verifies a circuit that uses one clean ancilla: only inputs
-/// with the ancilla in `|0⟩` are checked, and the ancilla must be returned to
-/// `|0⟩`.
+/// [`verify_mct_exhaustive`] for a circuit that uses one clean ancilla: only
+/// inputs with the ancilla in `|0⟩` are checked, and the ancilla must be
+/// returned to `|0⟩`.
 ///
 /// # Errors
 ///
-/// Returns an error when the circuit is non-classical or the specification
-/// refers to qudits outside the circuit.
+/// Returns an error when the specification is non-classical or refers to
+/// qudits outside the circuit.
 pub fn verify_mct_with_clean_ancilla(
     circuit: &Circuit,
     spec: &MctSpec,
     clean: QuditId,
+    backend: SimBackend,
 ) -> Result<Verification> {
     let dimension = circuit.dimension();
     run_verification(
         dimension,
         spec,
         all_basis_states(dimension, circuit.width()).filter(|input| input[clean.index()] == 0),
-        direct_checker(circuit),
+        checker(circuit, backend),
     )
 }
 
-/// [`verify_mct_exhaustive`], but every input is simulated through the
-/// engine the [`SimBackend`] picks (`Auto` resolves via the classicality
-/// scan) instead of the direct basis-state propagator.
-///
-/// For the classical circuits the synthesis emits, the sparse engine keeps
-/// every input at a single nonzero amplitude, so the sweep stays `O(gates)`
-/// time and `O(1)` memory per input while exercising the exact simulation
-/// path the pipeline's checks use.
-///
-/// # Errors
-///
-/// Returns an error when the specification is non-classical or refers to
-/// qudits outside the circuit.
-pub fn verify_mct_exhaustive_with(
-    circuit: &Circuit,
-    spec: &MctSpec,
-    backend: SimBackend,
-) -> Result<Verification> {
-    let dimension = circuit.dimension();
-    run_verification(
-        dimension,
-        spec,
-        all_basis_states(dimension, circuit.width()),
-        engine_checker(circuit, backend),
-    )
-}
-
-/// [`verify_mct_sampled`], but routed through the [`SimBackend`]-selected
-/// engine like [`verify_mct_exhaustive_with`].
-///
-/// # Errors
-///
-/// Returns an error when the specification is non-classical or refers to
-/// qudits outside the circuit.
-pub fn verify_mct_sampled_with<R: Rng>(
-    circuit: &Circuit,
-    spec: &MctSpec,
-    samples: usize,
-    rng: &mut R,
-    backend: SimBackend,
-) -> Result<Verification> {
-    let dimension = circuit.dimension();
-    let inputs: Vec<Vec<u32>> =
-        sampled_inputs(dimension, circuit.width(), spec, samples, rng).collect();
-    run_verification(dimension, spec, inputs, engine_checker(circuit, backend))
-}
-
-/// Builds the ideal unitary of a multi-controlled single-qudit gate
-/// specification on a register of the given width.
-///
-/// # Errors
-///
-/// Returns an error when the specification refers to qudits outside the
-/// register.
-pub fn mct_unitary(spec: &MctSpec, dimension: Dimension, width: usize) -> Result<SquareMatrix> {
-    let op_matrix = spec.op.to_matrix(dimension);
-    let size = dimension.register_size(width);
-    let d = dimension.as_usize();
-    let mut matrix = SquareMatrix::zeros(size);
-    let target = spec.target.index();
-    let stride = d.pow((width - 1 - target) as u32);
-    for column in 0..size {
-        let digits = index_to_digits(column, dimension, width);
-        let fires = spec.controls.iter().all(|c| digits[c.index()] == 0);
-        if !fires {
-            matrix[(column, column)] = qudit_core::math::Complex::ONE;
-            continue;
-        }
-        let t_digit = digits[target] as usize;
-        let base = column - t_digit * stride;
-        for row_digit in 0..d {
-            let row = base + row_digit * stride;
-            matrix[(row, column)] = op_matrix[(row_digit, t_digit)];
-        }
-    }
-    Ok(matrix)
-}
-
-/// Verifies that a (possibly non-classical) circuit implements the unitary of
-/// an [`MctSpec`], up to numerical tolerance, with every extra qudit acting
-/// as a borrowed ancilla in the computational basis.
-///
-/// This builds the full `d^width` unitary; only use it for small registers.
-///
-/// # Errors
-///
-/// Returns an error when the circuit cannot be simulated.
-pub fn verify_mct_unitary(circuit: &Circuit, spec: &MctSpec) -> Result<bool> {
-    let expected = mct_unitary(spec, circuit.dimension(), circuit.width())?;
-    let actual = circuit_unitary(circuit)?;
-    Ok(actual.approx_eq(&expected, 1e-7))
-}
-
-/// Checks that two circuits implement the same unitary up to global phase.
-///
-/// Simulation runs on the [`Auto`](SimBackend::Auto) backend: each circuit's
-/// classical prefix is walked sparsely (see
-/// [`circuit_unitary`](crate::circuit_unitary())).  Use
-/// [`circuits_equal_up_to_phase_with`] to force a backend.
-///
-/// # Errors
-///
-/// Returns an error when either circuit cannot be simulated.
-pub fn circuits_equal_up_to_phase(a: &Circuit, b: &Circuit) -> Result<bool> {
-    circuits_equal_up_to_phase_with(a, b, SimBackend::Auto)
-}
-
-/// [`circuits_equal_up_to_phase`] on an explicit simulation backend.
+/// Checks that two circuits implement the same unitary up to global phase,
+/// simulating on `backend`.
 ///
 /// Under [`Auto`](SimBackend::Auto) or
 /// [`Stabilizer`](SimBackend::Stabilizer), a pair of all-Clifford circuits
 /// over a prime dimension is compared by exact stabilizer tableaus instead of
-/// dense unitaries, which stays tractable at any register width.
+/// dense unitaries, which stays tractable at any register width.  Otherwise
+/// `Auto` walks each circuit's classical prefix sparsely (see
+/// [`circuit_unitary`](crate::circuit_unitary())).
 ///
 /// # Errors
 ///
 /// Returns an error when either circuit cannot be simulated.
-pub fn circuits_equal_up_to_phase_with(
-    a: &Circuit,
-    b: &Circuit,
-    backend: SimBackend,
-) -> Result<bool> {
+pub fn circuits_equal_up_to_phase(a: &Circuit, b: &Circuit, backend: SimBackend) -> Result<bool> {
     if matches!(backend, SimBackend::Auto | SimBackend::Stabilizer)
         && crate::stabilizer::is_clifford_circuit(a)
         && crate::stabilizer::is_clifford_circuit(b)
@@ -385,8 +281,9 @@ mod tests {
         let d = dim(3);
         let circuit = macro_toffoli(d, 2);
         let spec = MctSpec::toffoli(vec![QuditId::new(0), QuditId::new(1)], QuditId::new(2));
-        assert!(verify_mct_exhaustive(&circuit, &spec).unwrap().is_pass());
-        assert!(verify_mct_unitary(&circuit, &spec).unwrap());
+        assert!(verify_mct_exhaustive(&circuit, &spec, SimBackend::Auto)
+            .unwrap()
+            .is_pass());
     }
 
     #[test]
@@ -395,7 +292,7 @@ mod tests {
         let circuit = macro_toffoli(d, 2);
         // Spec with swapped roles should fail.
         let spec = MctSpec::toffoli(vec![QuditId::new(0), QuditId::new(2)], QuditId::new(1));
-        let verdict = verify_mct_exhaustive(&circuit, &spec).unwrap();
+        let verdict = verify_mct_exhaustive(&circuit, &spec, SimBackend::Auto).unwrap();
         assert!(!verdict.is_pass());
         if let Verification::Fail {
             input,
@@ -417,9 +314,11 @@ mod tests {
             QuditId::new(3),
         );
         let mut rng = StdRng::seed_from_u64(7);
-        assert!(verify_mct_sampled(&circuit, &spec, 64, &mut rng)
-            .unwrap()
-            .is_pass());
+        assert!(
+            verify_mct_sampled(&circuit, &spec, 64, &mut rng, SimBackend::Auto)
+                .unwrap()
+                .is_pass()
+        );
     }
 
     #[test]
@@ -438,36 +337,31 @@ mod tests {
             .unwrap();
         let spec = MctSpec::toffoli(vec![QuditId::new(0), QuditId::new(1)], QuditId::new(2));
         // Borrowed semantics fail (the extra qudit is modified for some inputs)…
-        assert!(!verify_mct_exhaustive(&circuit, &spec).unwrap().is_pass());
+        assert!(!verify_mct_exhaustive(&circuit, &spec, SimBackend::Auto)
+            .unwrap()
+            .is_pass());
         // …but clean-ancilla semantics still hold? No: the ancilla is changed
         // even when it starts in |0⟩ (whenever x0 = 1), so this also fails.
         assert!(
-            !verify_mct_with_clean_ancilla(&circuit, &spec, QuditId::new(3))
+            !verify_mct_with_clean_ancilla(&circuit, &spec, QuditId::new(3), SimBackend::Auto)
                 .unwrap()
                 .is_pass()
         );
         // The untouched widened circuit satisfies both contracts.
         let clean_circuit = macro_toffoli(d, 2).widened(4).unwrap();
-        assert!(verify_mct_exhaustive(&clean_circuit, &spec)
-            .unwrap()
-            .is_pass());
         assert!(
-            verify_mct_with_clean_ancilla(&clean_circuit, &spec, QuditId::new(3))
+            verify_mct_exhaustive(&clean_circuit, &spec, SimBackend::Auto)
                 .unwrap()
                 .is_pass()
         );
-    }
-
-    #[test]
-    fn ideal_unitary_is_unitary() {
-        let d = dim(3);
-        let spec = MctSpec {
-            controls: vec![QuditId::new(0)],
-            target: QuditId::new(1),
-            op: SingleQuditOp::Add(1),
-        };
-        let u = mct_unitary(&spec, d, 2).unwrap();
-        assert!(u.is_unitary(MATRIX_TOLERANCE));
+        assert!(verify_mct_with_clean_ancilla(
+            &clean_circuit,
+            &spec,
+            QuditId::new(3),
+            SimBackend::Auto
+        )
+        .unwrap()
+        .is_pass());
     }
 
     #[test]
@@ -475,9 +369,8 @@ mod tests {
         let d = dim(3);
         let a = macro_toffoli(d, 2);
         let b = macro_toffoli(d, 2);
-        assert!(circuits_equal_up_to_phase(&a, &b).unwrap());
         for backend in [SimBackend::Dense, SimBackend::Sparse, SimBackend::Auto] {
-            assert!(circuits_equal_up_to_phase_with(&a, &b, backend).unwrap());
+            assert!(circuits_equal_up_to_phase(&a, &b, backend).unwrap());
         }
     }
 
@@ -499,7 +392,7 @@ mod tests {
         }
         let b = a.clone();
         for backend in [SimBackend::Auto, SimBackend::Stabilizer] {
-            assert!(circuits_equal_up_to_phase_with(&a, &b, backend).unwrap());
+            assert!(circuits_equal_up_to_phase(&a, &b, backend).unwrap());
         }
         // Appending one more SUM gate breaks equality.
         let mut c = a.clone();
@@ -510,55 +403,83 @@ mod tests {
             vec![],
         ))
         .unwrap();
-        assert!(!circuits_equal_up_to_phase(&a, &c).unwrap());
+        assert!(!circuits_equal_up_to_phase(&a, &c, SimBackend::Auto).unwrap());
     }
 
     #[test]
     fn engine_routed_sampling_never_densifies_classical_circuits() {
         // Width 30 over qutrits: 3^30 ≈ 2·10^14 basis states — any code
         // path that densifies the state would attempt a petabyte-scale
-        // allocation.  The sparse engine must verify samples in O(1) memory.
+        // allocation.  A classical circuit must verify samples in O(width)
+        // memory whatever backend the caller names.
         let d = dim(3);
         let k = 29;
         let circuit = macro_toffoli(d, k);
         let spec = MctSpec::toffoli((0..k).map(QuditId::new).collect(), QuditId::new(k));
         let mut rng = StdRng::seed_from_u64(11);
         assert!(
-            verify_mct_sampled_with(&circuit, &spec, 16, &mut rng, SimBackend::Auto)
+            verify_mct_sampled(&circuit, &spec, 16, &mut rng, SimBackend::Dense)
                 .unwrap()
                 .is_pass()
         );
     }
 
+    /// The engine branch of the shared checker agrees with the direct one.
+    /// A Toffoli whose X01 is written as a permutation `Unitary`, followed
+    /// by a Fourier gate and its inverse on a spare qudit, is non-classical
+    /// gate by gate, so every verifier simulates it on the engine; its
+    /// classical twin (the plain macro Toffoli) takes the direct path.  Both
+    /// implement the same spec, so every verdict — witness included — must
+    /// match on every backend.
     #[test]
     fn backend_routed_verification_agrees_with_the_direct_sweep() {
         let d = dim(3);
-        let circuit = macro_toffoli(d, 2);
+        let direct = macro_toffoli(d, 2).widened(4).unwrap();
+        let x01 = qudit_core::math::SquareMatrix::from_permutation(&[1, 0, 2]).unwrap();
+        let fourier = SingleQuditOp::fourier(d);
+        let mut routed = Circuit::new(d, 4);
+        routed
+            .push(Gate::controlled(
+                SingleQuditOp::unitary(d, x01).unwrap(),
+                QuditId::new(2),
+                vec![
+                    Control::zero(QuditId::new(0)),
+                    Control::zero(QuditId::new(1)),
+                ],
+            ))
+            .unwrap();
+        routed
+            .push(Gate::single(fourier.inverse(d), QuditId::new(3)))
+            .unwrap();
+        routed.push(Gate::single(fourier, QuditId::new(3))).unwrap();
+        assert!(direct.is_classical() && !routed.is_classical());
+
+        let spare = QuditId::new(3);
+        let verdicts = |circuit: &Circuit, spec: &MctSpec, backend: SimBackend| {
+            let mut rng = StdRng::seed_from_u64(9);
+            [
+                verify_mct_exhaustive(circuit, spec, backend).unwrap(),
+                verify_mct_sampled(circuit, spec, 32, &mut rng, backend).unwrap(),
+                verify_mct_with_clean_ancilla(circuit, spec, spare, backend).unwrap(),
+            ]
+        };
         let spec = MctSpec::toffoli(vec![QuditId::new(0), QuditId::new(1)], QuditId::new(2));
-        for backend in [SimBackend::Dense, SimBackend::Sparse, SimBackend::Auto] {
-            assert!(
-                verify_mct_exhaustive_with(&circuit, &spec, backend)
-                    .unwrap()
-                    .is_pass(),
-                "backend {backend}"
-            );
-        }
-        // A wrong spec fails with a concrete witness on every backend.
         let wrong = MctSpec::toffoli(vec![QuditId::new(0), QuditId::new(2)], QuditId::new(1));
-        for backend in [SimBackend::Dense, SimBackend::Sparse] {
-            let verdict = verify_mct_exhaustive_with(&circuit, &wrong, backend).unwrap();
-            match verdict {
-                Verification::Fail {
-                    expected, actual, ..
-                } => assert_ne!(expected, actual),
-                other => panic!("expected a failure, got {other:?}"),
+        for backend in [SimBackend::Dense, SimBackend::Sparse, SimBackend::Auto] {
+            let passing = verdicts(&routed, &spec, backend);
+            assert!(passing.iter().all(Verification::is_pass), "{backend}");
+            assert_eq!(passing, verdicts(&direct, &spec, backend), "{backend}");
+            // A wrong spec fails with a concrete witness on every backend.
+            let failing = verdicts(&routed, &wrong, backend);
+            for verdict in &failing {
+                match verdict {
+                    Verification::Fail {
+                        expected, actual, ..
+                    } => assert_ne!(expected, actual, "{backend}"),
+                    other => panic!("{backend}: expected a failure, got {other:?}"),
+                }
             }
+            assert_eq!(failing, verdicts(&direct, &wrong, backend), "{backend}");
         }
-        let mut rng = StdRng::seed_from_u64(9);
-        assert!(
-            verify_mct_sampled_with(&circuit, &spec, 32, &mut rng, SimBackend::Auto)
-                .unwrap()
-                .is_pass()
-        );
     }
 }

@@ -34,6 +34,7 @@
 //! ```
 //! use qudit_core::{Circuit, Control, Dimension, Gate, QuditId, SingleQuditOp};
 //! use qudit_sim::equivalence::{verify_mct_exhaustive, MctSpec};
+//! use qudit_sim::SimBackend;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let d = Dimension::new(3)?;
@@ -44,7 +45,7 @@
 //!     vec![Control::zero(QuditId::new(0))],
 //! ))?;
 //! let spec = MctSpec::toffoli(vec![QuditId::new(0)], QuditId::new(1));
-//! assert!(verify_mct_exhaustive(&circuit, &spec)?.is_pass());
+//! assert!(verify_mct_exhaustive(&circuit, &spec, SimBackend::Auto)?.is_pass());
 //! # Ok(())
 //! # }
 //! ```

@@ -17,8 +17,8 @@
 //! A detected mismatch surfaces as [`QuditError::PassFailed`], naming the
 //! wrapped pass and the offending basis state.
 //!
-//! State-vector comparisons run on a configurable [`SimBackend`]
-//! ([`VerifyEquivalence::with_backend`]); the default `Auto` backend walks
+//! State-vector comparisons run on the [`SimBackend`] passed to
+//! [`VerifyEquivalence::wrap`]; the `Auto` backend walks
 //! each circuit's classical prefix sparsely with bit-identical results, so
 //! verification of the paper's (mostly classical) pipelines no longer pays
 //! the dense `O(d^width)`-per-gate walk over the long permutation prefixes.
@@ -61,6 +61,7 @@ const PARALLEL_VERIFY_THRESHOLD: usize = 1024;
 /// use qudit_core::pipeline::{LowerToGGates, PassManager};
 /// use qudit_core::{Circuit, Control, Dimension, Gate, QuditId, SingleQuditOp};
 /// use qudit_sim::pipeline::VerifyEquivalence;
+/// use qudit_sim::SimBackend;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let d = Dimension::new(3)?;
@@ -72,8 +73,9 @@ const PARALLEL_VERIFY_THRESHOLD: usize = 1024;
 /// ))?;
 ///
 /// // Every pass in the pipeline self-checks after running.
-/// let manager = VerifyEquivalence::wrap_manager(
+/// let manager = VerifyEquivalence::wrap_manager_with_backend(
 ///     PassManager::new().with_pass(LowerToGGates),
+///     SimBackend::Auto,
 /// );
 /// let report = manager.run(circuit)?;
 /// assert_eq!(report.stats[0].pass, "verify(lower-to-g-gates)");
@@ -89,15 +91,24 @@ pub struct VerifyEquivalence {
 }
 
 impl VerifyEquivalence {
-    /// Wraps a pass with the default verification limits and the
-    /// [`SimBackend::Auto`] simulation backend.
-    pub fn wrap(inner: Box<dyn Pass>) -> Self {
+    /// Wraps a pass with the default verification limits, running the
+    /// state-vector comparisons on `backend`.
+    ///
+    /// [`SimBackend::Auto`] scans each circuit for a classical prefix and
+    /// simulates that prefix sparsely; `Dense` forces the dense engine and
+    /// `Sparse` the hybrid one.  Under `Auto` and [`SimBackend::Stabilizer`],
+    /// a pair of all-Clifford circuits over a prime dimension is compared
+    /// exactly via their stabilizer tableaus instead — at any register
+    /// width.  Every path is exact (up to global phase), so the verdicts
+    /// never depend on the backend — only the wall time and the reachable
+    /// widths do.
+    pub fn wrap(inner: Box<dyn Pass>, backend: SimBackend) -> Self {
         VerifyEquivalence {
             name: format!("verify({})", inner.name()),
             inner,
             max_exhaustive_states: DEFAULT_MAX_EXHAUSTIVE_STATES,
             samples: DEFAULT_SAMPLES,
-            backend: SimBackend::Auto,
+            backend,
         }
     }
 
@@ -111,34 +122,11 @@ impl VerifyEquivalence {
         self
     }
 
-    /// Selects the simulation backend the state-vector comparisons run on.
-    ///
-    /// The default, [`SimBackend::Auto`], scans each circuit for a classical
-    /// prefix and simulates that prefix sparsely; `Dense` restores the
-    /// pre-sparse behaviour and `Sparse` forces the hybrid engine.  Under
-    /// `Auto` and [`SimBackend::Stabilizer`], a pair of all-Clifford
-    /// circuits over a prime dimension is compared exactly via their
-    /// stabilizer tableaus instead — at any register width.  Every path is
-    /// exact (up to global phase), so the verdicts never depend on this
-    /// knob — only the wall time and the reachable widths do.
-    #[must_use]
-    pub fn with_backend(mut self, backend: SimBackend) -> Self {
-        self.backend = backend;
-        self
-    }
-
     /// Wraps every pass of a [`PassManager`] in a [`VerifyEquivalence`]
-    /// decorator, turning the pipeline into a self-checking one.
-    #[must_use]
-    pub fn wrap_manager(manager: PassManager) -> PassManager {
-        Self::wrap_manager_with_backend(manager, SimBackend::Auto)
-    }
-
-    /// [`VerifyEquivalence::wrap_manager`] with an explicit simulation
-    /// backend for every wrapper.
+    /// decorator on `backend`, turning the pipeline into a self-checking one.
     #[must_use]
     pub fn wrap_manager_with_backend(manager: PassManager, backend: SimBackend) -> PassManager {
-        manager.map_passes(|inner| Box::new(VerifyEquivalence::wrap(inner).with_backend(backend)))
+        manager.map_passes(|inner| Box::new(VerifyEquivalence::wrap(inner, backend)))
     }
 
     fn fail(&self, reason: String) -> QuditError {
@@ -376,10 +364,11 @@ mod tests {
 
     #[test]
     fn faithful_passes_verify() {
-        let manager = VerifyEquivalence::wrap_manager(
+        let manager = VerifyEquivalence::wrap_manager_with_backend(
             PassManager::new()
                 .with_pass(LowerToGGates)
                 .with_pass(CancelInversePairs),
+            SimBackend::Auto,
         );
         assert_eq!(
             manager.pass_names(),
@@ -395,7 +384,10 @@ mod tests {
         let drop_all = pass_fn("drop-all", |c: Circuit| {
             Ok(Circuit::new(c.dimension(), c.width()))
         });
-        let manager = PassManager::new().with_pass(VerifyEquivalence::wrap(Box::new(drop_all)));
+        let manager = PassManager::new().with_pass(VerifyEquivalence::wrap(
+            Box::new(drop_all),
+            SimBackend::Auto,
+        ));
         let result = manager.run(sample_circuit());
         match result {
             Err(QuditError::PassFailed { pass, reason }) => {
@@ -411,7 +403,8 @@ mod tests {
         let shrink = pass_fn("shrink", |c: Circuit| {
             Ok(Circuit::new(c.dimension(), c.width() - 1))
         });
-        let manager = PassManager::new().with_pass(VerifyEquivalence::wrap(Box::new(shrink)));
+        let manager = PassManager::new()
+            .with_pass(VerifyEquivalence::wrap(Box::new(shrink), SimBackend::Auto));
         assert!(matches!(
             manager.run(sample_circuit()),
             Err(QuditError::PassFailed { .. })
@@ -421,7 +414,8 @@ mod tests {
     #[test]
     fn sampled_verification_covers_large_registers() {
         // Force the sampled path with a tiny exhaustive bound.
-        let verified = VerifyEquivalence::wrap(Box::new(LowerToGGates)).with_limits(1, 64);
+        let verified =
+            VerifyEquivalence::wrap(Box::new(LowerToGGates), SimBackend::Auto).with_limits(1, 64);
         let manager = PassManager::new().with_pass(verified);
         assert!(manager.run(sample_circuit()).is_ok());
     }
@@ -444,7 +438,10 @@ mod tests {
         let drop_all = pass_fn("drop-all", |c: Circuit| {
             Ok(Circuit::new(c.dimension(), c.width()))
         });
-        let manager = PassManager::new().with_pass(VerifyEquivalence::wrap(Box::new(drop_all)));
+        let manager = PassManager::new().with_pass(VerifyEquivalence::wrap(
+            Box::new(drop_all),
+            SimBackend::Auto,
+        ));
         match manager.run(circuit) {
             Err(QuditError::PassFailed { pass, .. }) => assert_eq!(pass, "drop-all"),
             other => panic!("expected PassFailed, got {other:?}"),
@@ -467,14 +464,20 @@ mod tests {
 
         // The identity pass trivially preserves the unitary.
         let identity = pass_fn("identity", Ok);
-        let manager = PassManager::new().with_pass(VerifyEquivalence::wrap(Box::new(identity)));
+        let manager = PassManager::new().with_pass(VerifyEquivalence::wrap(
+            Box::new(identity),
+            SimBackend::Auto,
+        ));
         assert!(manager.run(circuit.clone()).is_ok());
 
         // Dropping the gate does not.
         let drop_all = pass_fn("drop-all", |c: Circuit| {
             Ok(Circuit::new(c.dimension(), c.width()))
         });
-        let manager = PassManager::new().with_pass(VerifyEquivalence::wrap(Box::new(drop_all)));
+        let manager = PassManager::new().with_pass(VerifyEquivalence::wrap(
+            Box::new(drop_all),
+            SimBackend::Auto,
+        ));
         assert!(matches!(
             manager.run(circuit),
             Err(QuditError::PassFailed { .. })
@@ -505,13 +508,19 @@ mod tests {
             .unwrap();
 
         let identity = pass_fn("identity", Ok);
-        let manager = PassManager::new().with_pass(VerifyEquivalence::wrap(Box::new(identity)));
+        let manager = PassManager::new().with_pass(VerifyEquivalence::wrap(
+            Box::new(identity),
+            SimBackend::Auto,
+        ));
         assert!(manager.run(circuit.clone()).is_ok());
 
         let drop_all = pass_fn("drop-all", |c: Circuit| {
             Ok(Circuit::new(c.dimension(), c.width()))
         });
-        let manager = PassManager::new().with_pass(VerifyEquivalence::wrap(Box::new(drop_all)));
+        let manager = PassManager::new().with_pass(VerifyEquivalence::wrap(
+            Box::new(drop_all),
+            SimBackend::Auto,
+        ));
         match manager.run(circuit) {
             Err(QuditError::PassFailed { pass, .. }) => assert_eq!(pass, "drop-all"),
             other => panic!("expected PassFailed, got {other:?}"),
@@ -556,8 +565,8 @@ mod tests {
 
         for backend in [SimBackend::Auto, SimBackend::Stabilizer] {
             let identity = pass_fn("identity", Ok);
-            let manager = PassManager::new()
-                .with_pass(VerifyEquivalence::wrap(Box::new(identity)).with_backend(backend));
+            let manager =
+                PassManager::new().with_pass(VerifyEquivalence::wrap(Box::new(identity), backend));
             assert!(manager.run(circuit.clone()).is_ok(), "backend {backend}");
 
             // Dropping one gate flips the verdict (the "pass" output is
@@ -570,8 +579,8 @@ mod tests {
                 }
                 Ok(out)
             });
-            let manager = PassManager::new()
-                .with_pass(VerifyEquivalence::wrap(Box::new(drop_last)).with_backend(backend));
+            let manager =
+                PassManager::new().with_pass(VerifyEquivalence::wrap(Box::new(drop_last), backend));
             match manager.run(circuit.clone()) {
                 Err(QuditError::PassFailed { pass, reason }) => {
                     assert_eq!(pass, "drop-last");
@@ -588,14 +597,14 @@ mod tests {
         // under Dense, Sparse and Auto.
         for backend in [SimBackend::Dense, SimBackend::Sparse, SimBackend::Auto] {
             let ok = PassManager::new()
-                .with_pass(VerifyEquivalence::wrap(Box::new(LowerToGGates)).with_backend(backend));
+                .with_pass(VerifyEquivalence::wrap(Box::new(LowerToGGates), backend));
             assert!(ok.run(sample_circuit()).is_ok(), "backend {backend}");
 
             let drop_all = pass_fn("drop-all", |c: Circuit| {
                 Ok(Circuit::new(c.dimension(), c.width()))
             });
-            let bad = PassManager::new()
-                .with_pass(VerifyEquivalence::wrap(Box::new(drop_all)).with_backend(backend));
+            let bad =
+                PassManager::new().with_pass(VerifyEquivalence::wrap(Box::new(drop_all), backend));
             assert!(
                 matches!(
                     bad.run(sample_circuit()),
@@ -665,7 +674,8 @@ mod tests {
             ))?;
             Ok(out)
         });
-        let manager = PassManager::new().with_pass(VerifyEquivalence::wrap(Box::new(twist)));
+        let manager = PassManager::new()
+            .with_pass(VerifyEquivalence::wrap(Box::new(twist), SimBackend::Auto));
         match manager.run(circuit) {
             Err(QuditError::PassFailed { pass, reason }) => {
                 assert_eq!(pass, "phase-twist");

@@ -142,7 +142,7 @@ proptest! {
         for backend in [SimBackend::Dense, SimBackend::Sparse, SimBackend::Auto] {
             let identity = pass_fn("identity", Ok);
             let manager = PassManager::new()
-                .with_pass(VerifyEquivalence::wrap(Box::new(identity)).with_backend(backend));
+                .with_pass(VerifyEquivalence::wrap(Box::new(identity), backend));
             faithful.push(manager.run(circuit.clone()).is_ok());
 
             let drop_last = pass_fn("drop-last", |c: Circuit| {
@@ -153,7 +153,7 @@ proptest! {
                 Ok(out)
             });
             let manager = PassManager::new()
-                .with_pass(VerifyEquivalence::wrap(Box::new(drop_last)).with_backend(backend));
+                .with_pass(VerifyEquivalence::wrap(Box::new(drop_last), backend));
             unfaithful.push(manager.run(circuit.clone()).is_ok());
         }
         // The identity pass must verify on every backend.

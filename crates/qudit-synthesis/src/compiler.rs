@@ -1,9 +1,6 @@
 //! The typed compilation facade: [`CompileOptions`] + [`Compiler`].
 //!
-//! The paper's flow used to be exposed as a matrix of `Pipeline::standard*`
-//! preset constructors — one per feature combination, doubling with every
-//! orthogonal knob.  This module replaces the matrix with one composable
-//! configuration surface:
+//! One composable configuration surface for the paper's flow:
 //!
 //! * [`CompileOptions`] — a builder with orthogonal typed knobs
 //!   ([`Verify`], [`SimBackend`], scheduling, [`CacheMode`], [`Threads`])
@@ -454,21 +451,15 @@ impl CompileOptions {
             Some(pool) => manager.with_pool(pool),
             None => manager,
         };
+        let backend = self.backend;
         match self.verify {
             Verify::Off => manager,
             Verify::Exhaustive => {
-                VerifyEquivalence::wrap_manager_with_backend(manager, self.backend)
+                manager.map_passes(|inner| Box::new(VerifyEquivalence::wrap(inner, backend)))
             }
-            Verify::Sampled(samples) => {
-                let backend = self.backend;
-                manager.map_passes(|inner| {
-                    Box::new(
-                        VerifyEquivalence::wrap(inner)
-                            .with_backend(backend)
-                            .with_limits(0, samples),
-                    )
-                })
-            }
+            Verify::Sampled(samples) => manager.map_passes(|inner| {
+                Box::new(VerifyEquivalence::wrap(inner, backend).with_limits(0, samples))
+            }),
         }
     }
 
@@ -521,8 +512,7 @@ impl fmt::Display for VerifyOutcome {
 /// run measured.
 ///
 /// This is the single return shape of both [`Compiler::compile`] and (per
-/// job) [`Compiler::compile_batch`], replacing the preset-dependent
-/// `PipelineReport`-or-`BatchReport` split of the legacy preset matrix.
+/// job) [`Compiler::compile_batch`].
 #[derive(Debug, Clone)]
 pub struct CompileResult {
     /// The compiled circuit.
@@ -968,6 +958,41 @@ mod tests {
 
         // Shape pinning rejects mismatched circuits.
         assert!(compiler.compile(&Circuit::new(dim(3), 2)).is_err());
+    }
+
+    #[test]
+    fn cache_modes_reach_every_lowering_stage() {
+        use qudit_core::cache::LoweringCache;
+
+        let synthesis = KToffoli::new(dim(3), 3).unwrap().synthesize().unwrap();
+        // `Off` disables caching outright: no stage reports cache counters.
+        let off = CompileOptions::new()
+            .cache(CacheMode::Off)
+            .compiler()
+            .compile(synthesis.circuit())
+            .unwrap();
+        assert!(off.stats.iter().all(|s| s.cache.is_none()));
+
+        // `Shared` installs the caller's instance, not a fresh per-run one:
+        // a second compile reuses the first one's entries.
+        let cache = LoweringCache::shared();
+        let compiler = CompileOptions::new()
+            .cache(CacheMode::Shared(cache.clone()))
+            .compiler();
+        compiler.compile(synthesis.circuit()).unwrap();
+        let second = compiler.compile(synthesis.circuit()).unwrap();
+        // Cache counters accrue on the lowering stages (gate-fusion, the
+        // flow's first pass, never consults the lowering cache).
+        for pass in ["lower-to-elementary", "lower-to-g-gates"] {
+            let counters = second
+                .stats_for(pass)
+                .unwrap()
+                .cache
+                .expect("caching enabled");
+            assert_eq!(counters.misses, 0, "{pass}: second compile must hit");
+            assert!(counters.hits > 0, "{pass}");
+        }
+        assert!(cache.counters().hits > 0, "hits land in the caller's cache");
     }
 
     #[test]

@@ -65,7 +65,7 @@ pub use controlled_unitary::{
 };
 pub use error::{Result, SynthesisError};
 pub use mct::{emit_multi_controlled, KToffoli, MctLayout, MctSynthesis, MultiControlledGate};
-pub use pipeline::{LowerToElementary, Pipeline};
+pub use pipeline::LowerToElementary;
 pub use resources::Resources;
 pub use service::{
     CompileService, JobReply, JobRequest, JobStatus, ServiceClient, ServiceConfig, ServiceStats,

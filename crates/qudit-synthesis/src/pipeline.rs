@@ -1,34 +1,26 @@
-//! The macro-gate lowering pass and the legacy pipeline presets.
+//! The macro-gate lowering pass.
 //!
 //! The paper compiles a multi-controlled gate in stages: synthesis emits a
 //! *macro circuit* (gates with at most two controls), which is lowered to
 //! *elementary gates* (at most one control) with the Fig. 2 / Fig. 5
 //! gadgets, then to the *G-gate set* `{Xij} ∪ {|0⟩-X01}`, and finally
-//! cleaned up by inverse-pair cancellation.  This module packages those
-//! stages as [`qudit_core::pipeline::Pass`]es:
+//! cleaned up by inverse-pair cancellation:
 //!
 //! ```text
 //!   macro circuit ──lower-to-elementary──▶ elementary ──lower-to-g-gates──▶
 //!   G-gates ──cancel-inverse-pairs──▶ optimised G-gates
 //! ```
 //!
-//! * [`LowerToElementary`] — wraps [`crate::lower::lower_to_elementary`];
-//!   registered as the `lower-to-elementary` stage of
-//!   [`crate::compiler::registry`].
-//! * [`Pipeline::standard`] and the rest of the `Pipeline::standard*`
-//!   family — **deprecated** preset shims over the typed
-//!   [`CompileOptions`] builder (each
-//!   shim's documentation shows its builder equivalent);
-//! * [`Pipeline::lowering`] / [`Pipeline::lowering_verified`] — the flow
-//!   without the final cancellation (the configuration the paper's gate
-//!   counts are reported in), equivalent to
-//!   [`OptLevel::O0`](crate::compiler::OptLevel).
+//! [`LowerToElementary`] wraps [`crate::lower::lower_to_elementary`] as a
+//! [`qudit_core::pipeline::Pass`]; it is registered as the
+//! `lower-to-elementary` stage of [`crate::compiler::registry`].  The other
+//! stages live in [`qudit_core::pipeline`], and
+//! [`CompileOptions`](crate::compiler::CompileOptions) assembles them into a
+//! flow.
 
-use qudit_core::pipeline::{dispatch_lowering_pass, CacheMode, Pass, PassContext, PassManager};
-use qudit_core::{Circuit, Dimension, QuditError};
-use qudit_sim::SimBackend;
+use qudit_core::pipeline::{dispatch_lowering_pass, Pass, PassContext};
+use qudit_core::{Circuit, QuditError};
 
-use crate::compiler::{CompileOptions, OptLevel, Verify};
 use crate::error::SynthesisError;
 use crate::lower;
 
@@ -81,497 +73,16 @@ impl Pass for LowerToElementary {
     }
 }
 
-/// Factory for the **legacy** compilation presets of the paper's flow.
-///
-/// The `standard*` constructors are deprecated shims over the typed
-/// [`CompileOptions`] builder — every shim
-/// assembles exactly the manager its builder equivalent does (pinned
-/// gate-for-gate by the `compiler_api` integration suite).  New code should
-/// configure a [`Compiler`](crate::compiler::Compiler) instead.
-#[derive(Debug, Clone, Copy)]
-pub struct Pipeline;
-
-impl Pipeline {
-    /// The paper's full compilation flow for a macro circuit over `width`
-    /// qudits of the given dimension: macro-gate lowering → G-gate lowering
-    /// → inverse-pair cancellation.
-    ///
-    /// # Migration
-    ///
-    /// ```
-    /// #![allow(deprecated)]
-    /// use qudit_core::Dimension;
-    /// use qudit_synthesis::{CompileOptions, Pipeline};
-    ///
-    /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-    /// let dimension = Dimension::new(3)?;
-    /// let legacy = Pipeline::standard(dimension, 4);
-    /// let modern = CompileOptions::new().shape(dimension, 4).build_manager();
-    /// assert_eq!(legacy.pass_names(), modern.pass_names());
-    /// # Ok(())
-    /// # }
-    /// ```
-    #[deprecated(note = "use CompileOptions::new().shape(dimension, width) \
-                         and the Compiler facade instead")]
-    pub fn standard(dimension: Dimension, width: usize) -> PassManager {
-        CompileOptions::new()
-            .shape(dimension, width)
-            .build_manager()
-    }
-
-    /// The lowering stages only (macro → elementary → G-gates), without the
-    /// final cancellation — the configuration the paper's G-gate counts are
-    /// reported in; equivalent to
-    /// [`OptLevel::O0`](crate::compiler::OptLevel).
-    pub fn lowering(dimension: Dimension, width: usize) -> PassManager {
-        CompileOptions::new()
-            .opt_level(OptLevel::O0)
-            .shape(dimension, width)
-            .build_manager()
-    }
-
-    /// [`Pipeline::standard`] with every stage wrapped in
-    /// [`qudit_sim::pipeline::VerifyEquivalence`]: each stage re-simulates
-    /// its input and output and fails the pipeline on any semantics change.
-    ///
-    /// # Migration
-    ///
-    /// ```
-    /// #![allow(deprecated)]
-    /// use qudit_core::Dimension;
-    /// use qudit_synthesis::{CompileOptions, Pipeline, Verify};
-    ///
-    /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-    /// let dimension = Dimension::new(3)?;
-    /// let legacy = Pipeline::standard_verified(dimension, 4);
-    /// let modern = CompileOptions::new()
-    ///     .verify(Verify::Exhaustive)
-    ///     .shape(dimension, 4)
-    ///     .build_manager();
-    /// assert_eq!(legacy.pass_names(), modern.pass_names());
-    /// # Ok(())
-    /// # }
-    /// ```
-    #[deprecated(note = "use CompileOptions::new().verify(Verify::Exhaustive)\
-                         .shape(dimension, width) instead")]
-    pub fn standard_verified(dimension: Dimension, width: usize) -> PassManager {
-        CompileOptions::new()
-            .verify(Verify::Exhaustive)
-            .shape(dimension, width)
-            .build_manager()
-    }
-
-    /// [`Pipeline::standard_verified`] with an explicit simulation backend
-    /// for every verification wrapper.
-    ///
-    /// # Migration
-    ///
-    /// ```
-    /// #![allow(deprecated)]
-    /// use qudit_core::Dimension;
-    /// use qudit_sim::SimBackend;
-    /// use qudit_synthesis::{CompileOptions, Pipeline, Verify};
-    ///
-    /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-    /// let dimension = Dimension::new(3)?;
-    /// let legacy = Pipeline::standard_verified_with_backend(dimension, 4, SimBackend::Sparse);
-    /// let modern = CompileOptions::new()
-    ///     .verify(Verify::Exhaustive)
-    ///     .backend(SimBackend::Sparse)
-    ///     .shape(dimension, 4)
-    ///     .build_manager();
-    /// assert_eq!(legacy.pass_names(), modern.pass_names());
-    /// # Ok(())
-    /// # }
-    /// ```
-    #[deprecated(note = "use CompileOptions::new().verify(Verify::Exhaustive)\
-                         .backend(backend).shape(dimension, width) instead")]
-    pub fn standard_verified_with_backend(
-        dimension: Dimension,
-        width: usize,
-        backend: SimBackend,
-    ) -> PassManager {
-        CompileOptions::new()
-            .verify(Verify::Exhaustive)
-            .backend(backend)
-            .shape(dimension, width)
-            .build_manager()
-    }
-
-    /// [`Pipeline::lowering`] with every stage wrapped in
-    /// [`qudit_sim::pipeline::VerifyEquivalence`] (on the
-    /// [`SimBackend::Auto`] backend); equivalent to
-    /// [`OptLevel::O0`](crate::compiler::OptLevel) with
-    /// [`Verify::Exhaustive`].
-    pub fn lowering_verified(dimension: Dimension, width: usize) -> PassManager {
-        CompileOptions::new()
-            .opt_level(OptLevel::O0)
-            .verify(Verify::Exhaustive)
-            .shape(dimension, width)
-            .build_manager()
-    }
-
-    /// The standard flow configured for batch compilation: shape-agnostic
-    /// (one manager compiles circuits of any dimension and width, as the
-    /// experiment sweeps need) and with a per-run lowering cache, so every
-    /// job reports deterministic cache hit/miss statistics.
-    ///
-    /// # Migration
-    ///
-    /// ```
-    /// #![allow(deprecated)]
-    /// use qudit_core::pipeline::CacheMode;
-    /// use qudit_synthesis::{CompileOptions, Pipeline};
-    ///
-    /// let legacy = Pipeline::standard_batch();
-    /// let modern = CompileOptions::new().cache(CacheMode::PerRun).build_manager();
-    /// assert_eq!(legacy.pass_names(), modern.pass_names());
-    /// // New code compiles batches through the facade:
-    /// // `CompileOptions::new().cache(CacheMode::PerRun).compiler().compile_batch(&jobs)`.
-    /// ```
-    #[deprecated(note = "use CompileOptions::new().cache(CacheMode::PerRun) \
-                         and Compiler::compile_batch instead")]
-    pub fn standard_batch() -> PassManager {
-        CompileOptions::new()
-            .cache(CacheMode::PerRun)
-            .build_manager()
-    }
-
-    /// [`Pipeline::standard`] with the commutation-aware depth scheduler
-    /// ([`qudit_core::pipeline::ScheduleDepth`]) as a final stage.
-    ///
-    /// # Migration
-    ///
-    /// ```
-    /// #![allow(deprecated)]
-    /// use qudit_core::Dimension;
-    /// use qudit_synthesis::{CompileOptions, Pipeline};
-    ///
-    /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-    /// let dimension = Dimension::new(3)?;
-    /// let legacy = Pipeline::standard_scheduled(dimension, 4);
-    /// let modern = CompileOptions::new()
-    ///     .schedule(true)
-    ///     .shape(dimension, 4)
-    ///     .build_manager();
-    /// assert_eq!(legacy.pass_names(), modern.pass_names());
-    /// # Ok(())
-    /// # }
-    /// ```
-    #[deprecated(note = "use CompileOptions::new().schedule(true)\
-                         .shape(dimension, width) instead")]
-    pub fn standard_scheduled(dimension: Dimension, width: usize) -> PassManager {
-        CompileOptions::new()
-            .schedule(true)
-            .shape(dimension, width)
-            .build_manager()
-    }
-
-    /// [`Pipeline::standard_scheduled`] with every stage (including the
-    /// scheduler) wrapped in verification on the [`SimBackend::Auto`]
-    /// backend.
-    ///
-    /// # Migration
-    ///
-    /// ```
-    /// #![allow(deprecated)]
-    /// use qudit_core::Dimension;
-    /// use qudit_synthesis::{CompileOptions, Pipeline, Verify};
-    ///
-    /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-    /// let dimension = Dimension::new(3)?;
-    /// let legacy = Pipeline::standard_scheduled_verified(dimension, 4);
-    /// let modern = CompileOptions::new()
-    ///     .schedule(true)
-    ///     .verify(Verify::Exhaustive)
-    ///     .shape(dimension, 4)
-    ///     .build_manager();
-    /// assert_eq!(legacy.pass_names(), modern.pass_names());
-    /// # Ok(())
-    /// # }
-    /// ```
-    #[deprecated(note = "use CompileOptions::new().schedule(true)\
-                         .verify(Verify::Exhaustive).shape(dimension, width) instead")]
-    pub fn standard_scheduled_verified(dimension: Dimension, width: usize) -> PassManager {
-        CompileOptions::new()
-            .schedule(true)
-            .verify(Verify::Exhaustive)
-            .shape(dimension, width)
-            .build_manager()
-    }
-
-    /// [`Pipeline::standard_scheduled_verified`] with an explicit simulation
-    /// backend for every verification wrapper.
-    ///
-    /// # Migration
-    ///
-    /// ```
-    /// #![allow(deprecated)]
-    /// use qudit_core::Dimension;
-    /// use qudit_sim::SimBackend;
-    /// use qudit_synthesis::{CompileOptions, Pipeline, Verify};
-    ///
-    /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-    /// let dimension = Dimension::new(3)?;
-    /// let legacy =
-    ///     Pipeline::standard_scheduled_verified_with_backend(dimension, 4, SimBackend::Dense);
-    /// let modern = CompileOptions::new()
-    ///     .schedule(true)
-    ///     .verify(Verify::Exhaustive)
-    ///     .backend(SimBackend::Dense)
-    ///     .shape(dimension, 4)
-    ///     .build_manager();
-    /// assert_eq!(legacy.pass_names(), modern.pass_names());
-    /// # Ok(())
-    /// # }
-    /// ```
-    #[deprecated(note = "use CompileOptions::new().schedule(true)\
-                         .verify(Verify::Exhaustive).backend(backend)\
-                         .shape(dimension, width) instead")]
-    pub fn standard_scheduled_verified_with_backend(
-        dimension: Dimension,
-        width: usize,
-        backend: SimBackend,
-    ) -> PassManager {
-        CompileOptions::new()
-            .schedule(true)
-            .verify(Verify::Exhaustive)
-            .backend(backend)
-            .shape(dimension, width)
-            .build_manager()
-    }
-
-    /// [`Pipeline::standard_batch`] with the depth scheduler as a final
-    /// stage — the configuration the E10/E11 depth columns are produced in.
-    ///
-    /// # Migration
-    ///
-    /// ```
-    /// #![allow(deprecated)]
-    /// use qudit_core::pipeline::CacheMode;
-    /// use qudit_synthesis::{CompileOptions, Pipeline};
-    ///
-    /// let legacy = Pipeline::standard_batch_scheduled();
-    /// let modern = CompileOptions::new()
-    ///     .schedule(true)
-    ///     .cache(CacheMode::PerRun)
-    ///     .build_manager();
-    /// assert_eq!(legacy.pass_names(), modern.pass_names());
-    /// ```
-    #[deprecated(note = "use CompileOptions::new().schedule(true)\
-                         .cache(CacheMode::PerRun) and Compiler::compile_batch instead")]
-    pub fn standard_batch_scheduled() -> PassManager {
-        CompileOptions::new()
-            .schedule(true)
-            .cache(CacheMode::PerRun)
-            .build_manager()
-    }
-
-    /// [`Pipeline::standard_batch`] with an explicit [`CacheMode`].
-    ///
-    /// The given mode is installed verbatim on the returned manager — a
-    /// non-default mode (`Off`, or a caller-provided `Shared` cache) is
-    /// propagated, never silently reset to the preset's own default.  See
-    /// `standard_batch_propagates_non_default_cache_modes` in the tests for
-    /// the pinned contract.
-    ///
-    /// # Migration
-    ///
-    /// ```
-    /// #![allow(deprecated)]
-    /// use qudit_core::cache::LoweringCache;
-    /// use qudit_core::pipeline::CacheMode;
-    /// use qudit_synthesis::{CompileOptions, Pipeline};
-    ///
-    /// let cache = CacheMode::Shared(LoweringCache::shared());
-    /// let legacy = Pipeline::standard_batch_with_cache(cache.clone());
-    /// let modern = CompileOptions::new().cache(cache).build_manager();
-    /// assert_eq!(legacy.pass_names(), modern.pass_names());
-    /// ```
-    #[deprecated(note = "use CompileOptions::new().cache(cache) \
-                         and Compiler::compile_batch instead")]
-    pub fn standard_batch_with_cache(cache: CacheMode) -> PassManager {
-        CompileOptions::new().cache(cache).build_manager()
-    }
-}
-
 #[cfg(test)]
-// The legacy shims under test are deprecated by design.
-#[allow(deprecated)]
 mod tests {
-    use super::*;
-    use crate::KToffoli;
-    use qudit_core::{Control, Gate, QuditId, SingleQuditOp};
-
-    fn dim(d: u32) -> Dimension {
-        Dimension::new(d).unwrap()
-    }
-
-    #[test]
-    fn standard_pipeline_reproduces_the_manual_chain() {
-        for d in [3u32, 4] {
-            let synthesis = KToffoli::new(dim(d), 3).unwrap().synthesize().unwrap();
-            let width = synthesis.layout().width;
-            let macro_circuit = synthesis.circuit().clone();
-
-            // The standard flow now opens with macro-level gate fusion, so
-            // the manual chain starts from the fused circuit.
-            let fused = qudit_core::fusion::fuse_circuit(&macro_circuit).unwrap();
-            let manual = qudit_core::optimize::cancel_inverse_pairs(
-                &lower::lower_to_g_gates(&fused).unwrap(),
-            );
-            let report = Pipeline::standard(dim(d), width)
-                .run(macro_circuit)
-                .unwrap();
-            assert_eq!(report.circuit, manual, "d={d}");
-            assert_eq!(report.stats.len(), 4);
-        }
-    }
-
-    #[test]
-    fn lowering_pipeline_matches_reported_g_gate_counts() {
-        let synthesis = KToffoli::new(dim(3), 4).unwrap().synthesize().unwrap();
-        let report = Pipeline::lowering(dim(3), synthesis.layout().width)
-            .run(synthesis.circuit().clone())
-            .unwrap();
-        assert_eq!(report.circuit.len(), synthesis.resources().g_gates);
-        assert!(report.circuit.gates().iter().all(Gate::is_g_gate));
-    }
-
-    #[test]
-    fn verified_pipeline_accepts_the_constructions() {
-        let synthesis = KToffoli::new(dim(3), 2).unwrap().synthesize().unwrap();
-        let manager = Pipeline::standard_verified(dim(3), synthesis.layout().width);
-        let report = manager.run(synthesis.circuit().clone()).unwrap();
-        assert!(report.circuit.gates().iter().all(Gate::is_g_gate));
-        assert!(report.stats.iter().all(|s| s.pass.starts_with("verify(")));
-    }
-
-    #[test]
-    fn shape_mismatch_is_rejected() {
-        let manager = Pipeline::standard(dim(3), 4);
-        let circuit = Circuit::new(dim(3), 3);
-        assert!(manager.run(circuit).is_err());
-    }
-
-    #[test]
-    fn standard_batch_propagates_non_default_cache_modes() {
-        use qudit_core::cache::LoweringCache;
-
-        // The preset's own default is a per-run cache…
-        assert!(matches!(
-            Pipeline::standard_batch().cache_mode(),
-            CacheMode::PerRun
-        ));
-        // …but a caller-selected mode must survive construction unchanged.
-        assert!(matches!(
-            Pipeline::standard_batch_with_cache(CacheMode::Off).cache_mode(),
-            CacheMode::Off
-        ));
-        let cache = LoweringCache::shared();
-        let manager = Pipeline::standard_batch_with_cache(CacheMode::Shared(cache.clone()));
-        assert!(matches!(manager.cache_mode(), CacheMode::Shared(_)));
-
-        // The propagated shared cache is the caller's instance, not a fresh
-        // per-run one: a second run must reuse the first run's entries.
-        let synthesis = KToffoli::new(dim(3), 3).unwrap().synthesize().unwrap();
-        manager.run(synthesis.circuit().clone()).unwrap();
-        let second = manager.run(synthesis.circuit().clone()).unwrap();
-        // Cache counters accrue on the lowering stages (gate-fusion, the
-        // flow's first pass, never consults the lowering cache).
-        let counters = second
-            .stats
-            .iter()
-            .find(|s| s.pass == "lower-to-elementary")
-            .unwrap()
-            .cache
-            .expect("caching enabled");
-        assert_eq!(counters.misses, 0, "second run must hit the shared cache");
-        assert!(counters.hits > 0);
-        assert!(cache.counters().hits > 0, "hits land in the caller's cache");
-
-        // And `Off` really disables caching instead of falling back to the
-        // preset default.
-        let off = Pipeline::standard_batch_with_cache(CacheMode::Off);
-        let report = off.run(synthesis.circuit().clone()).unwrap();
-        assert!(report.stats.iter().all(|s| s.cache.is_none()));
-    }
-
-    #[test]
-    fn scheduled_pipeline_preserves_gates_and_never_deepens() {
-        use qudit_core::depth::circuit_depth;
-        for d in [3u32, 4] {
-            let synthesis = KToffoli::new(dim(d), 4).unwrap().synthesize().unwrap();
-            let width = synthesis.layout().width;
-            let plain = Pipeline::standard(dim(d), width)
-                .run(synthesis.circuit().clone())
-                .unwrap();
-            let scheduled = Pipeline::standard_scheduled(dim(d), width)
-                .run(synthesis.circuit().clone())
-                .unwrap();
-            assert_eq!(scheduled.stats.len(), 5);
-            assert_eq!(scheduled.stats[4].pass, "schedule-depth");
-            // The scheduler permutes, never rewrites: same multiset of gates.
-            assert_eq!(scheduled.circuit.len(), plain.circuit.len());
-            assert_eq!(
-                scheduled.stats[4].before.gates,
-                scheduled.stats[4].after.gates
-            );
-            assert!(
-                circuit_depth(&scheduled.circuit) <= circuit_depth(&plain.circuit),
-                "d={d}: scheduling must not deepen the circuit"
-            );
-        }
-    }
-
-    #[test]
-    fn scheduled_verified_pipeline_accepts_the_constructions() {
-        let synthesis = KToffoli::new(dim(3), 3).unwrap().synthesize().unwrap();
-        let width = synthesis.layout().width;
-        for backend in [SimBackend::Dense, SimBackend::Sparse, SimBackend::Auto] {
-            let manager =
-                Pipeline::standard_scheduled_verified_with_backend(dim(3), width, backend);
-            let report = manager.run(synthesis.circuit().clone()).unwrap();
-            assert!(report.circuit.gates().iter().all(Gate::is_g_gate));
-            assert_eq!(
-                report.stats.last().unwrap().pass,
-                "verify(schedule-depth)",
-                "backend {backend}"
-            );
-        }
-    }
-
-    #[test]
-    fn batch_scheduled_preset_appends_the_scheduler() {
-        let manager = Pipeline::standard_batch_scheduled();
-        assert_eq!(
-            manager.pass_names(),
-            vec![
-                "gate-fusion",
-                "lower-to-elementary",
-                "lower-to-g-gates",
-                "cancel-inverse-pairs",
-                "schedule-depth"
-            ]
-        );
-        assert!(matches!(manager.cache_mode(), CacheMode::PerRun));
-    }
-
-    #[test]
-    fn verified_with_backend_accepts_the_constructions() {
-        let synthesis = KToffoli::new(dim(3), 2).unwrap().synthesize().unwrap();
-        for backend in [SimBackend::Dense, SimBackend::Sparse, SimBackend::Auto] {
-            let manager =
-                Pipeline::standard_verified_with_backend(dim(3), synthesis.layout().width, backend);
-            let report = manager.run(synthesis.circuit().clone()).unwrap();
-            assert!(report.circuit.gates().iter().all(Gate::is_g_gate));
-        }
-    }
+    use crate::CompileOptions;
+    use qudit_core::{Circuit, Control, Dimension, Gate, QuditError, QuditId, SingleQuditOp};
 
     #[test]
     fn synthesis_errors_surface_as_pass_errors() {
         // A three-controlled gate cannot be lowered directly.
-        let mut circuit = Circuit::new(dim(3), 4);
+        let d = Dimension::new(3).unwrap();
+        let mut circuit = Circuit::new(d, 4);
         circuit
             .push(Gate::controlled(
                 SingleQuditOp::Swap(0, 1),
@@ -583,7 +94,7 @@ mod tests {
                 ],
             ))
             .unwrap();
-        let result = Pipeline::standard(dim(3), 4).run(circuit);
+        let result = CompileOptions::new().compiler().compile(&circuit);
         assert!(matches!(result, Err(QuditError::PassFailed { .. })));
     }
 }

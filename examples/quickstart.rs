@@ -9,6 +9,7 @@
 
 use qudit_core::Dimension;
 use qudit_sim::equivalence::{verify_mct_exhaustive, MctSpec};
+use qudit_sim::SimBackend;
 use qudit_synthesis::KToffoli;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -26,7 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Verify the construction exhaustively against its specification.
     let spec = MctSpec::toffoli(odd.layout().controls.clone(), odd.layout().target);
-    let verdict = verify_mct_exhaustive(odd.circuit(), &spec)?;
+    let verdict = verify_mct_exhaustive(odd.circuit(), &spec, SimBackend::Auto)?;
     println!("  verified:    {}", verdict.is_pass());
     assert!(verdict.is_pass());
 
@@ -41,7 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!("  G-gates:     {}", even.resources().g_gates);
     let spec = MctSpec::toffoli(even.layout().controls.clone(), even.layout().target);
-    let verdict = verify_mct_exhaustive(even.circuit(), &spec)?;
+    let verdict = verify_mct_exhaustive(even.circuit(), &spec, SimBackend::Auto)?;
     println!("  verified:    {}", verdict.is_pass());
     assert!(verdict.is_pass());
 

@@ -5,6 +5,7 @@
 use qudit_baselines::{exponential_mct, CleanAncillaMct};
 use qudit_core::{Dimension, Gate, QuditId, SingleQuditOp};
 use qudit_sim::equivalence::{verify_mct_exhaustive, verify_mct_sampled, MctSpec};
+use qudit_sim::SimBackend;
 use qudit_sim::{circuit_permutation, PermutationSimulator};
 use qudit_synthesis::{ControlledUnitary, KToffoli, MultiControlledGate};
 use rand::rngs::StdRng;
@@ -23,7 +24,8 @@ fn toffoli_matches_spec_exhaustively_for_small_parameters() {
                 synthesis.layout().controls.clone(),
                 synthesis.layout().target,
             );
-            let verdict = verify_mct_exhaustive(synthesis.circuit(), &spec).unwrap();
+            let verdict =
+                verify_mct_exhaustive(synthesis.circuit(), &spec, SimBackend::Auto).unwrap();
             assert!(verdict.is_pass(), "d={d}, k={k}: {verdict:?}");
         }
     }
@@ -40,7 +42,7 @@ fn lowered_toffoli_matches_spec_exhaustively() {
             synthesis.layout().controls.clone(),
             synthesis.layout().target,
         );
-        let verdict = verify_mct_exhaustive(&g_circuit, &spec).unwrap();
+        let verdict = verify_mct_exhaustive(&g_circuit, &spec, SimBackend::Auto).unwrap();
         assert!(verdict.is_pass(), "d={d}, k={k}: {verdict:?}");
     }
 }
@@ -54,7 +56,9 @@ fn large_toffoli_matches_spec_on_random_inputs() {
             synthesis.layout().controls.clone(),
             synthesis.layout().target,
         );
-        let verdict = verify_mct_sampled(synthesis.circuit(), &spec, 200, &mut rng).unwrap();
+        let verdict =
+            verify_mct_sampled(synthesis.circuit(), &spec, 200, &mut rng, SimBackend::Auto)
+                .unwrap();
         assert!(verdict.is_pass(), "d={d}, k={k}: {verdict:?}");
     }
 }
@@ -73,14 +77,17 @@ fn ours_and_clean_ancilla_baseline_agree_on_the_toffoli_action() {
     let spec_ours = MctSpec::toffoli(ours.layout().controls.clone(), ours.layout().target);
     let spec_baseline =
         MctSpec::toffoli(baseline.layout().controls.clone(), baseline.layout().target);
-    assert!(verify_mct_exhaustive(ours.circuit(), &spec_ours)
-        .unwrap()
-        .is_pass());
+    assert!(
+        verify_mct_exhaustive(ours.circuit(), &spec_ours, SimBackend::Auto)
+            .unwrap()
+            .is_pass()
+    );
     // The baseline only honours the clean-ancilla contract.
     let verdict = qudit_sim::equivalence::verify_mct_with_clean_ancilla(
         baseline.circuit(),
         &spec_baseline,
         baseline.layout().clean_ancillas[0],
+        SimBackend::Auto,
     );
     // With more than one ancilla the helper only fixes one of them, so fall
     // back to a manual check over the all-zero-ancilla subspace.

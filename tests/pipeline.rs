@@ -213,7 +213,10 @@ fn verified_pipeline_catches_a_broken_stage() {
         }
         Ok(out)
     });
-    let manager = VerifyEquivalence::wrap_manager(PassManager::new().with_pass(broken));
+    let manager = PassManager::new().with_pass(VerifyEquivalence::wrap(
+        Box::new(broken),
+        qudit_sim::SimBackend::Auto,
+    ));
     let result = manager.run(synthesis.circuit().clone());
     assert!(matches!(
         result,

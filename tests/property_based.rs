@@ -10,6 +10,7 @@ use qudit_core::{
 use qudit_sim::basis::{all_basis_states, digits_to_index, index_to_digits};
 use qudit_sim::circuit_permutation;
 use qudit_sim::equivalence::{verify_mct_sampled, MctSpec};
+use qudit_sim::SimBackend;
 use qudit_synthesis::KToffoli;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -183,7 +184,7 @@ proptest! {
         let synthesis = KToffoli::new(dimension, k).unwrap().synthesize().unwrap();
         let spec = MctSpec::toffoli(synthesis.layout().controls.clone(), synthesis.layout().target);
         let mut rng = StdRng::seed_from_u64(seed);
-        let verdict = verify_mct_sampled(synthesis.circuit(), &spec, 40, &mut rng).unwrap();
+        let verdict = verify_mct_sampled(synthesis.circuit(), &spec, 40, &mut rng, SimBackend::Auto).unwrap();
         prop_assert!(verdict.is_pass(), "{verdict:?}");
     }
 

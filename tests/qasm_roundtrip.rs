@@ -143,7 +143,7 @@ proptest! {
                 let manager = PassManager::new()
                     .with_pool(WorkStealingPool::with_threads(threads))
                     .with_pass(
-                        VerifyEquivalence::wrap(Box::new(round_trip)).with_backend(backend),
+                        VerifyEquivalence::wrap(Box::new(round_trip), backend),
                     );
                 prop_assert!(
                     manager.run(circuit.clone()).is_ok(),

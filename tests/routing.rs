@@ -104,7 +104,7 @@ proptest! {
                 let stage = RoutePass::new(graph.clone(), Arc::new(UniformCost));
                 let manager = PassManager::new()
                     .with_pool(WorkStealingPool::with_threads(threads))
-                    .with_pass(VerifyEquivalence::wrap(Box::new(stage)).with_backend(backend));
+                    .with_pass(VerifyEquivalence::wrap(Box::new(stage), backend));
                 let routed = manager.run(circuit.clone()).unwrap_or_else(|e| {
                     panic!("routing rejected on backend {backend} with {threads} threads: {e}")
                 });

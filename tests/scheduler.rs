@@ -18,7 +18,7 @@ use qudit_core::depth::circuit_depth;
 use qudit_core::pool::WorkStealingPool;
 use qudit_core::{Circuit, Dimension, Gate, QuditId, SingleQuditOp};
 use qudit_sim::circuit_permutation;
-use qudit_sim::equivalence::{verify_mct_sampled_with, MctSpec};
+use qudit_sim::equivalence::{verify_mct_sampled, MctSpec};
 use qudit_sim::sparse::{circuit_unitary_with, SimBackend};
 use qudit_synthesis::{emit_multi_controlled, CompileOptions, Compiler, KToffoli, Verify};
 use rand::rngs::StdRng;
@@ -225,7 +225,7 @@ fn verified_scheduled_pipeline_accepts_the_e10_sweep() {
         let mut rng = StdRng::seed_from_u64(11);
         let backend = SimBackend::Auto.resolve(&report.circuit);
         assert!(
-            verify_mct_sampled_with(&report.circuit, &spec, 50, &mut rng, backend)
+            verify_mct_sampled(&report.circuit, &spec, 50, &mut rng, backend)
                 .unwrap()
                 .is_pass(),
             "scheduled circuit no longer implements the Toffoli for d={d}, k={k}"

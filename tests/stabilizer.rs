@@ -71,7 +71,7 @@ fn drop_last_verdict(circuit: &Circuit, backend: SimBackend, threads: usize) -> 
     });
     let manager = PassManager::new()
         .with_pool(WorkStealingPool::with_threads(threads))
-        .with_pass(VerifyEquivalence::wrap(Box::new(drop_last)).with_backend(backend));
+        .with_pass(VerifyEquivalence::wrap(Box::new(drop_last), backend));
     match manager.run(circuit.clone()) {
         Ok(_) => true,
         Err(QuditError::PassFailed { .. }) => false,
@@ -151,7 +151,7 @@ proptest! {
         ] {
             let identity = pass_fn("identity", Ok);
             let manager = PassManager::new()
-                .with_pass(VerifyEquivalence::wrap(Box::new(identity)).with_backend(backend));
+                .with_pass(VerifyEquivalence::wrap(Box::new(identity), backend));
             prop_assert!(manager.run(circuit.clone()).is_ok(), "backend {backend}");
         }
 
@@ -266,8 +266,8 @@ fn auto_falls_back_on_the_e10_family_with_unchanged_verdicts() {
         ] {
             // Faithful pass: accepted.
             let identity = pass_fn("identity", Ok);
-            let manager = PassManager::new()
-                .with_pass(VerifyEquivalence::wrap(Box::new(identity)).with_backend(backend));
+            let manager =
+                PassManager::new().with_pass(VerifyEquivalence::wrap(Box::new(identity), backend));
             assert!(
                 manager.run(circuit.clone()).is_ok(),
                 "d={d} k={k} backend {backend}"
@@ -276,8 +276,8 @@ fn auto_falls_back_on_the_e10_family_with_unchanged_verdicts() {
             let drop_all = pass_fn("drop-all", |c: Circuit| {
                 Ok(Circuit::new(c.dimension(), c.width()))
             });
-            let manager = PassManager::new()
-                .with_pass(VerifyEquivalence::wrap(Box::new(drop_all)).with_backend(backend));
+            let manager =
+                PassManager::new().with_pass(VerifyEquivalence::wrap(Box::new(drop_all), backend));
             assert!(
                 matches!(
                     manager.run(circuit.clone()),
@@ -325,7 +325,7 @@ fn stabilizer_verifies_random_clifford_circuits_at_width_24() {
             let identity = pass_fn("identity", Ok);
             let manager = PassManager::new()
                 .with_pool(WorkStealingPool::with_threads(threads))
-                .with_pass(VerifyEquivalence::wrap(Box::new(identity)).with_backend(backend));
+                .with_pass(VerifyEquivalence::wrap(Box::new(identity), backend));
             assert!(manager.run(circuit.clone()).is_ok());
 
             let drop_all = pass_fn("drop-all", |c: Circuit| {
@@ -333,7 +333,7 @@ fn stabilizer_verifies_random_clifford_circuits_at_width_24() {
             });
             let manager = PassManager::new()
                 .with_pool(WorkStealingPool::with_threads(threads))
-                .with_pass(VerifyEquivalence::wrap(Box::new(drop_all)).with_backend(backend));
+                .with_pass(VerifyEquivalence::wrap(Box::new(drop_all), backend));
             match manager.run(circuit.clone()) {
                 Err(QuditError::PassFailed { reason, .. }) => {
                     assert!(reason.contains("stabilizer"), "{reason}");
