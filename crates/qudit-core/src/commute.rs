@@ -432,7 +432,7 @@ impl DependencyDag {
                 }
             }
         };
-        let preds = match pool.filter(|pool| pool.threads() > 1 && gates.len() > 1) {
+        let preds = match pool.filter(|pool| pool.fans_out() && gates.len() > 1) {
             Some(pool) => pool.map((0..gates.len()).collect(), predecessors_of),
             None => (0..gates.len()).map(predecessors_of).collect(),
         };
@@ -644,7 +644,7 @@ fn schedule_layers(circuit: &Circuit, pool: Option<&WorkStealingPool>) -> Vec<us
             }
             best
         };
-        let bounds: Vec<usize> = match pool.filter(|p| p.threads() > 1 && block_start > 0) {
+        let bounds: Vec<usize> = match pool.filter(|p| p.fans_out() && block_start > 0) {
             Some(pool) => pool.map((block_start..block_end).collect(), bound_of),
             None => (block_start..block_end).map(bound_of).collect(),
         };

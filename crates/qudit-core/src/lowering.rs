@@ -131,13 +131,9 @@ pub fn lower_circuit_cached(
 /// when chunks are unevenly expensive); the chunk results are concatenated
 /// in gate order, so the output circuit is identical to the sequential path.
 ///
-/// The returned counters are made order-independent: two workers can race to
-/// first-compute the same key (both observe a miss), so the miss count is
-/// derived from the number of *distinct* entries the call added to the cache
-/// instead of the raw per-worker tallies.  With a cache private to this call
-/// (or one pass of a [`crate::pipeline::CacheMode::PerRun`] pipeline) the
-/// counters therefore equal the sequential ones exactly; with a cache
-/// concurrently shared by other jobs they are a close approximation.
+/// The returned counters are the sum of the per-chunk tallies.  They are
+/// exact: [`LoweringCache::get_or_insert_with`] counts a lookup that lost an
+/// insert race as a hit, so every miss is one insertion by this call.
 ///
 /// # Errors
 ///
@@ -150,7 +146,7 @@ pub fn lower_circuit_parallel(
     let dimension = circuit.dimension();
     let width_class = WidthClass::of(circuit.width());
     let (gates, counters) =
-        lower_gates_chunked(circuit.gates(), cache, pool, |gate, counters| match cache {
+        lower_gates_chunked(circuit.gates(), pool, |gate, counters| match cache {
             Some(cache) => lower_gate_cached(gate, dimension, width_class, cache, counters),
             None => lower_gate(gate, dimension),
         })?;
@@ -161,18 +157,14 @@ pub fn lower_circuit_parallel(
 
 /// The chunked fan-out shared by every parallel lowering path: applies
 /// `lower` to each gate, in contiguous chunks over `pool`'s workers, and
-/// concatenates the expansions in gate order.
-///
-/// When `cache` is the cache `lower` consults, the returned counters are
-/// made order-independent by deriving the miss count from the number of
-/// distinct entries the call added (see [`lower_circuit_parallel`]).
+/// concatenates the expansions in gate order, summing the cache tallies
+/// `lower` records per chunk.
 ///
 /// # Errors
 ///
 /// Returns the first per-gate error in gate order.
 pub fn lower_gates_chunked<E, F>(
     gates: &[Gate],
-    cache: Option<&LoweringCache>,
     pool: &WorkStealingPool,
     lower: F,
 ) -> std::result::Result<(Vec<Gate>, CacheCounters), E>
@@ -180,7 +172,6 @@ where
     E: Send,
     F: Fn(&Gate, &mut CacheCounters) -> std::result::Result<Vec<Gate>, E> + Sync,
 {
-    let entries_before = cache.map_or(0, LoweringCache::len);
     let chunk_size = gates
         .len()
         .div_ceil(pool.threads().saturating_mul(4).max(1))
@@ -200,13 +191,6 @@ where
         let (lowered, counters) = result?;
         total.merge(counters);
         out.extend(lowered);
-    }
-    if let Some(cache) = cache {
-        let misses = (cache.len() - entries_before) as u64;
-        total = CacheCounters {
-            hits: total.total().saturating_sub(misses),
-            misses,
-        };
     }
     Ok((out, total))
 }
@@ -513,5 +497,27 @@ mod tests {
             vec![Control::zero(QuditId::new(0))],
         );
         assert_eq!(lower_gate(&gate, dimension).unwrap(), vec![gate]);
+    }
+
+    #[test]
+    fn parallel_counters_match_a_full_bounded_cache() {
+        // Two alternating kinds through a one-entry cache: the cache never
+        // grows past one entry, yet most lookups miss.
+        let mut circuit = Circuit::new(dim(3), 2);
+        for i in 0..600 {
+            circuit
+                .push(Gate::single(SingleQuditOp::Add(1 + i % 2), QuditId::new(0)))
+                .unwrap();
+        }
+        let cache = LoweringCache::with_capacity(1);
+        let before = cache.counters();
+        let pool = WorkStealingPool::with_threads(2);
+        let (lowered, reported) = lower_circuit_parallel(&circuit, Some(&cache), &pool).unwrap();
+        let after = cache.counters();
+        assert_eq!(lowered, lower_circuit(&circuit).unwrap());
+        assert_eq!(reported.hits, after.hits - before.hits);
+        assert_eq!(reported.misses, after.misses - before.misses);
+        assert_eq!(reported.total(), 600);
+        assert!(reported.misses > 1, "a full bounded cache keeps missing");
     }
 }

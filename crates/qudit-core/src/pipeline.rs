@@ -24,13 +24,15 @@
 //!   [`LoweringCache`] through [`PassContext`]; cache-aware passes (the
 //!   lowering passes) record per-run hit/miss counters that surface in
 //!   [`PassStats::cache`].  See [`CacheMode`] for the sharing options.
-//! * **Batching** — [`PassManager::run_batch`] compiles many circuits
-//!   concurrently on a [`WorkStealingPool`] and merges the per-pass
-//!   statistics order-independently into a [`BatchReport`].
+//! * **Batching** — one manager can run many circuits concurrently (the
+//!   `Compiler::compile_batch` facade in `qudit-synthesis` does so on a
+//!   [`WorkStealingPool`]); [`merge_pass_stats`] folds the per-run
+//!   statistics order-independently.
 //! * **Pooling** — [`PassManager::with_pool`] pins the worker pool every
 //!   parallel-capable pass draws from (through [`PassContext::pool`]);
-//!   unpooled managers keep the historical behaviour of sizing a fresh
-//!   pool per pass from the environment.
+//!   unpooled managers size a fresh pool per pass from the environment.
+//!   Whether a pass fans out at all is the pool's decision
+//!   ([`WorkStealingPool::fans_out`]).
 //!
 //! Pipelines can also be *assembled from data* instead of hard-coded
 //! builder chains: a [`PipelineSpec`] names the stages, shape and cache
@@ -86,7 +88,7 @@ use crate::pool::WorkStealingPool;
 /// action on every basis state).  Passes take the circuit by value so that
 /// identity-like passes can return their input without cloning, and are
 /// `Send + Sync` so that one pipeline instance can compile many circuits
-/// concurrently ([`PassManager::run_batch`]).
+/// concurrently.
 ///
 /// # Example
 ///
@@ -195,8 +197,7 @@ impl PassContext {
         self
     }
 
-    /// The run's pinned worker pool, if the manager configured one
-    /// (cloned: persistent pools share their crew through the clone).
+    /// The run's pinned worker pool, if the manager configured one.
     pub fn pool(&self) -> Option<WorkStealingPool> {
         self.pool.clone()
     }
@@ -255,8 +256,8 @@ pub enum CacheMode {
     /// fully deterministic, and batch jobs do not share entries — the mode
     /// the experiment tables use.
     PerRun,
-    /// One caller-provided cache shared by every run (and, in
-    /// [`PassManager::run_batch`], across worker threads).  Maximises reuse;
+    /// One caller-provided cache shared by every run (and, in a concurrent
+    /// batch, across worker threads).  Maximises reuse;
     /// per-pass counters depend on which job reaches a key first.
     Shared(Arc<LoweringCache>),
 }
@@ -385,70 +386,8 @@ impl fmt::Display for PipelineReport {
     }
 }
 
-/// The result of [`PassManager::run_batch`]: one [`PipelineReport`] per
-/// input circuit, in input order.
-#[derive(Debug, Clone)]
-pub struct BatchReport {
-    /// Per-job reports, in input order.
-    pub reports: Vec<PipelineReport>,
-}
-
-impl BatchReport {
-    /// Number of compiled circuits.
-    pub fn len(&self) -> usize {
-        self.reports.len()
-    }
-
-    /// Returns `true` when the batch was empty.
-    pub fn is_empty(&self) -> bool {
-        self.reports.is_empty()
-    }
-
-    /// The compiled circuits, in input order.
-    pub fn circuits(&self) -> impl Iterator<Item = &Circuit> {
-        self.reports.iter().map(|r| &r.circuit)
-    }
-
-    /// Merges the per-job statistics into one [`MergedPassStats`] entry per
-    /// pipeline stage.
-    ///
-    /// Merging only sums per-job values, so the result is independent of the
-    /// order in which jobs finished — sequential and parallel executions of
-    /// the same batch report identical merged gate counts (see
-    /// `merged_stats_are_order_independent` in the crate tests).
-    pub fn merged_stats(&self) -> Vec<MergedPassStats> {
-        merge_pass_stats(self.reports.iter().map(|report| report.stats.as_slice()))
-    }
-
-    /// Total wall-clock pass time summed over every job (CPU time, not
-    /// elapsed time: concurrent jobs overlap).
-    pub fn total_elapsed(&self) -> Duration {
-        self.reports.iter().map(PipelineReport::total_elapsed).sum()
-    }
-
-    /// The cache tally summed over every job and pass.
-    pub fn cache_counters(&self) -> CacheCounters {
-        let mut total = CacheCounters::default();
-        for merged in self.merged_stats() {
-            if let Some(cache) = merged.cache {
-                total.merge(cache);
-            }
-        }
-        total
-    }
-}
-
-impl fmt::Display for BatchReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "batch of {} circuits", self.len())?;
-        for merged in self.merged_stats() {
-            writeln!(f, "{merged}")?;
-        }
-        Ok(())
-    }
-}
-
-/// Per-pass statistics summed over every job of a [`BatchReport`].
+/// Per-pass statistics summed over every run of a batch (see
+/// [`merge_pass_stats`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MergedPassStats {
     /// Name of the pass.
@@ -509,9 +448,9 @@ impl fmt::Display for MergedPassStats {
 /// [`MergedPassStats`] entry per stage.
 ///
 /// Merging only sums per-run values, so the result is independent of the
-/// iteration order — this is the primitive behind
-/// [`BatchReport::merged_stats`], shared with the facade report types in
-/// `qudit-synthesis`.
+/// iteration order — sequential and parallel executions of the same batch
+/// report identical merged gate counts.  The facade's `BatchResult` in
+/// `qudit-synthesis` builds on it.
 pub fn merge_pass_stats<'a>(
     runs: impl IntoIterator<Item = &'a [PassStats]>,
 ) -> Vec<MergedPassStats> {
@@ -635,18 +574,17 @@ impl PassManager {
         &self.cache
     }
 
-    /// Pins the worker pool the manager's runs use: [`PassManager::run_batch`]
-    /// distributes jobs on it, and every parallel-capable pass receives it
-    /// through [`PassContext::pool`] instead of sizing a fresh pool from the
-    /// environment.
+    /// Pins the worker pool the manager's runs use: every parallel-capable
+    /// pass receives it through [`PassContext::pool`] instead of sizing a
+    /// fresh pool from the environment, and batch callers distribute jobs
+    /// on it.
     #[must_use]
     pub fn with_pool(mut self, pool: WorkStealingPool) -> Self {
         self.pool = Some(pool);
         self
     }
 
-    /// The configured worker pool, if one was pinned (cloned: persistent
-    /// pools share their crew through the clone).
+    /// The configured worker pool, if one was pinned.
     pub fn pool(&self) -> Option<WorkStealingPool> {
         self.pool.clone()
     }
@@ -735,96 +673,6 @@ impl PassManager {
         })
     }
 
-    /// Compiles many circuits concurrently — on the pool pinned with
-    /// [`PassManager::with_pool`], or a default-sized [`WorkStealingPool`]
-    /// otherwise — returning one [`PipelineReport`] per circuit (in input
-    /// order) inside a [`BatchReport`].
-    ///
-    /// Every job runs the same pipeline; with [`CacheMode::PerRun`] each job
-    /// gets a private cache (deterministic statistics), while
-    /// [`CacheMode::Shared`] lets concurrent jobs reuse each other's
-    /// lowerings through the `RwLock`-protected shared cache.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first job error in input order (later jobs still run).
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use qudit_core::pipeline::{CacheMode, LowerToGGates, PassManager};
-    /// use qudit_core::{Circuit, Control, Dimension, Gate, QuditId, SingleQuditOp};
-    ///
-    /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-    /// let d = Dimension::new(3)?;
-    /// let circuits: Vec<Circuit> = (1..=4)
-    ///     .map(|level| {
-    ///         let mut c = Circuit::new(d, 2);
-    ///         c.push(Gate::controlled(
-    ///             SingleQuditOp::Add(level % 2 + 1),
-    ///             QuditId::new(1),
-    ///             vec![Control::level(QuditId::new(0), 2)],
-    ///         ))?;
-    ///         Ok::<_, qudit_core::QuditError>(c)
-    ///     })
-    ///     .collect::<Result<_, _>>()?;
-    ///
-    /// let manager = PassManager::new()
-    ///     .with_pass(LowerToGGates)
-    ///     .with_cache(CacheMode::PerRun);
-    /// let batch = manager.run_batch(circuits)?;
-    /// assert_eq!(batch.len(), 4);
-    /// let merged = batch.merged_stats();
-    /// assert_eq!(merged[0].pass, "lower-to-g-gates");
-    /// assert_eq!(merged[0].jobs, 4);
-    /// # Ok(())
-    /// # }
-    /// ```
-    pub fn run_batch(&self, circuits: Vec<Circuit>) -> Result<BatchReport> {
-        self.run_batch_on(circuits, &self.pool.clone().unwrap_or_default())
-    }
-
-    /// [`PassManager::run_batch`] on a caller-provided pool.
-    ///
-    /// # Errors
-    ///
-    /// See [`PassManager::run_batch`].
-    pub fn run_batch_on(
-        &self,
-        circuits: Vec<Circuit>,
-        pool: &WorkStealingPool,
-    ) -> Result<BatchReport> {
-        let results = pool.map(circuits, |circuit| self.run(circuit));
-        let mut reports = Vec::with_capacity(results.len());
-        for result in results {
-            reports.push(result?);
-        }
-        Ok(BatchReport { reports })
-    }
-
-    /// [`PassManager::run_batch_on`] over borrowed circuits: each job is
-    /// cloned by the worker that compiles it, so a borrowing caller (such
-    /// as `Compiler::compile_batch` in `qudit-synthesis`) pays no up-front
-    /// copy of the whole batch.
-    ///
-    /// # Errors
-    ///
-    /// See [`PassManager::run_batch`].
-    pub fn run_batch_refs(
-        &self,
-        circuits: &[Circuit],
-        pool: &WorkStealingPool,
-    ) -> Result<BatchReport> {
-        let results = pool.map(circuits.iter().collect(), |circuit: &Circuit| {
-            self.run(circuit.clone())
-        });
-        let mut reports = Vec::with_capacity(results.len());
-        for result in results {
-            reports.push(result?);
-        }
-        Ok(BatchReport { reports })
-    }
-
     /// Runs the pipeline and returns only the final circuit.
     ///
     /// # Errors
@@ -844,22 +692,6 @@ impl fmt::Debug for PassManager {
             .field("pool", &self.pool)
             .finish()
     }
-}
-
-/// The pool a parallel-capable pass should fan out on, or `None` when it
-/// must stay sequential.
-///
-/// Sequential cases: the calling thread is already a pool worker (a nested
-/// pool per pass would oversubscribe the machine quadratically), or the
-/// effective pool has a single worker.  Otherwise the run's pinned pool
-/// ([`PassManager::with_pool`]) wins, falling back to a fresh
-/// environment-sized [`WorkStealingPool`] as before pooled managers existed.
-fn parallel_pool(ctx: &PassContext) -> Option<WorkStealingPool> {
-    if crate::pool::in_worker() {
-        return None;
-    }
-    let pool = ctx.pool().unwrap_or_default();
-    (pool.threads() > 1).then_some(pool)
 }
 
 /// A data-driven pipeline description: ordered stage names plus the
@@ -1041,10 +873,10 @@ impl Pass for GateFusion {
 ///
 /// The pass is parallel: circuits longer than
 /// [`optimize::CANCEL_WINDOW_SIZE`] gates are reduced window-by-window on a
-/// [`WorkStealingPool`] ([`optimize::cancel_inverse_pairs_on`]) — unless the
-/// calling thread is already a pool worker, where the sequential reduction
-/// avoids nested pools.  The windowed reduction is deterministic in the
-/// circuit alone, so every execution mode produces the identical circuit.
+/// [`WorkStealingPool`] ([`optimize::cancel_inverse_pairs_on`]) whenever
+/// the pool fans out ([`WorkStealingPool::fans_out`]).  The windowed
+/// reduction is deterministic in the circuit alone, so every execution mode
+/// produces the identical circuit.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CancelInversePairs;
 
@@ -1058,10 +890,9 @@ impl Pass for CancelInversePairs {
     }
 
     fn run_with(&self, circuit: Circuit, ctx: &mut PassContext) -> Result<Circuit> {
-        if circuit.len() > optimize::CANCEL_WINDOW_SIZE {
-            if let Some(pool) = parallel_pool(ctx) {
-                return Ok(optimize::cancel_inverse_pairs_on(&circuit, &pool));
-            }
+        let pool = ctx.pool().unwrap_or_default();
+        if circuit.len() > optimize::CANCEL_WINDOW_SIZE && pool.fans_out() {
+            return Ok(optimize::cancel_inverse_pairs_on(&circuit, &pool));
         }
         Ok(optimize::cancel_inverse_pairs(&circuit))
     }
@@ -1106,11 +937,10 @@ impl Pass for LowerToGGates {
 /// (`LowerToGGates` here, `LowerToElementary` in `qudit-synthesis`).
 ///
 /// Circuits above [`lowering::PARALLEL_GATE_THRESHOLD`] gates run through
-/// `parallel` on a fresh pool — unless the calling thread is already a pool
-/// worker ([`crate::pool::in_worker`]), where a nested pool per pass would
-/// oversubscribe the machine quadratically.  Otherwise the pass runs
-/// `cached` when the context carries a cache, and `plain` when it does not.
-/// Cache tallies are recorded into the context either way.
+/// `parallel` on the run's pool whenever it fans out
+/// ([`WorkStealingPool::fans_out`]).  Otherwise the pass runs `cached` when
+/// the context carries a cache, and `plain` when it does not.  Cache
+/// tallies are recorded into the context either way.
 pub fn dispatch_lowering_pass<Plain, Cached, Parallel>(
     circuit: Circuit,
     ctx: &mut PassContext,
@@ -1128,12 +958,11 @@ where
     ) -> Result<(Circuit, CacheCounters)>,
 {
     let cache = ctx.cache().cloned();
-    if circuit.len() >= lowering::PARALLEL_GATE_THRESHOLD {
-        if let Some(pool) = parallel_pool(ctx) {
-            let (out, counters) = parallel(&circuit, cache.as_deref(), &pool)?;
-            ctx.record(counters);
-            return Ok(out);
-        }
+    let pool = ctx.pool().unwrap_or_default();
+    if circuit.len() >= lowering::PARALLEL_GATE_THRESHOLD && pool.fans_out() {
+        let (out, counters) = parallel(&circuit, cache.as_deref(), &pool)?;
+        ctx.record(counters);
+        return Ok(out);
     }
     match cache {
         Some(cache) => {
@@ -1155,10 +984,10 @@ where
 /// the pass is idempotent — a second run returns its input unchanged.
 ///
 /// Circuits of at least [`commute::PARALLEL_SCHEDULE_THRESHOLD`] gates
-/// build the dependency DAG gate-parallel on a [`WorkStealingPool`] —
-/// unless the calling thread is already a pool worker, where the sequential
-/// build avoids nested pools.  The DAG depends only on the circuit, so
-/// every execution mode produces the identical schedule.
+/// build the dependency DAG gate-parallel on a [`WorkStealingPool`]
+/// whenever the pool fans out ([`WorkStealingPool::fans_out`]).  The DAG
+/// depends only on the circuit, so every execution mode produces the
+/// identical schedule.
 ///
 /// # Example
 ///
@@ -1199,10 +1028,9 @@ impl Pass for ScheduleDepth {
     }
 
     fn run_with(&self, circuit: Circuit, ctx: &mut PassContext) -> Result<Circuit> {
-        if circuit.len() >= commute::PARALLEL_SCHEDULE_THRESHOLD {
-            if let Some(pool) = parallel_pool(ctx) {
-                return Ok(commute::schedule_depth_on(&circuit, &pool));
-            }
+        let pool = ctx.pool().unwrap_or_default();
+        if circuit.len() >= commute::PARALLEL_SCHEDULE_THRESHOLD && pool.fans_out() {
+            return Ok(commute::schedule_depth_on(&circuit, &pool));
         }
         Ok(commute::schedule_depth(&circuit))
     }
@@ -1443,65 +1271,44 @@ mod tests {
     }
 
     #[test]
-    fn run_batch_matches_sequential_runs() {
-        let circuits: Vec<Circuit> = (0..6).map(|_| sample_circuit()).collect();
-        let manager = PassManager::new()
-            .with_pass(LowerToGGates)
-            .with_pass(CancelInversePairs)
-            .with_cache(CacheMode::PerRun);
-        let sequential: Vec<PipelineReport> = circuits
-            .iter()
-            .map(|c| manager.run(c.clone()).unwrap())
-            .collect();
-        let batch = manager
-            .run_batch_on(circuits, &crate::pool::WorkStealingPool::with_threads(4))
-            .unwrap();
-        assert_eq!(batch.len(), sequential.len());
-        for (batch_report, reference) in batch.reports.iter().zip(&sequential) {
-            assert_eq!(batch_report.circuit, reference.circuit);
-            for (a, b) in batch_report.stats.iter().zip(&reference.stats) {
-                assert_eq!(a.pass, b.pass);
-                assert_eq!(a.before, b.before);
-                assert_eq!(a.after, b.after);
-                assert_eq!(a.cache, b.cache);
-            }
-        }
-    }
-
-    #[test]
     fn merged_stats_are_order_independent() {
-        let circuits: Vec<Circuit> = (0..5).map(|_| sample_circuit()).collect();
         let manager = PassManager::new()
             .with_pass(LowerToGGates)
             .with_pass(CancelInversePairs)
             .with_cache(CacheMode::PerRun);
-        let batch = manager.run_batch(circuits).unwrap();
-        let merged = batch.merged_stats();
+        let mut reports: Vec<PipelineReport> = (0..5)
+            .map(|_| manager.run(sample_circuit()).unwrap())
+            .collect();
+        // One job of a different shape, so a permutation really reorders.
+        let mut wider = Circuit::new(dim(3), 3);
+        for target in [1, 2] {
+            wider
+                .push(Gate::controlled(
+                    SingleQuditOp::Add(1),
+                    QuditId::new(target),
+                    vec![Control::level(QuditId::new(0), 2)],
+                ))
+                .unwrap();
+        }
+        reports.push(manager.run(wider).unwrap());
+        let merge = |reports: &[PipelineReport]| {
+            merge_pass_stats(reports.iter().map(|report| report.stats.as_slice()))
+        };
+        let merged = merge(&reports);
         assert_eq!(merged.len(), 2);
-        assert_eq!(merged[0].jobs, 5);
+        assert_eq!(merged[0].pass, "lower-to-g-gates");
+        assert_eq!(merged[0].jobs, 6);
+        let gates_in: usize = reports.iter().map(|r| r.stats[0].before.gates).sum();
+        assert_eq!(merged[0].gates_before, gates_in);
+        assert!(merged[0].cache.expect("caching enabled").total() > 0);
 
         // Any permutation of the job reports merges to the same statistics.
-        let mut rotated = batch.clone();
-        rotated.reports.rotate_left(2);
-        let mut reversed = batch.clone();
-        reversed.reports.reverse();
-        assert_eq!(rotated.merged_stats(), merged);
-        assert_eq!(reversed.merged_stats(), merged);
-        assert!(batch.cache_counters().total() > 0);
-    }
-
-    #[test]
-    fn run_batch_returns_the_first_error_in_input_order() {
-        let manager = PassManager::new()
-            .with_pass(CancelInversePairs)
-            .with_shape(dim(3), 2);
-        let good = sample_circuit();
-        let bad = Circuit::new(dim(3), 5);
-        let result = manager.run_batch(vec![good, bad]);
-        assert!(matches!(
-            result,
-            Err(QuditError::IncompatibleCircuits { .. })
-        ));
+        let mut rotated = reports.clone();
+        rotated.rotate_left(2);
+        let mut reversed = reports.clone();
+        reversed.reverse();
+        assert_eq!(merge(&rotated), merged);
+        assert_eq!(merge(&reversed), merged);
     }
 
     #[test]
@@ -1562,37 +1369,14 @@ mod tests {
         assert_eq!(manager.pool().map(|p| p.threads()), Some(2));
         let report = manager.run(sample_circuit()).unwrap();
         assert!(report.circuit.gates().iter().all(Gate::is_g_gate));
-        // `map_passes` keeps the pool.
+        // `map_passes` keeps the pool that batch callers dispatch on.
         let wrapped = manager.map_passes(|p| p);
         assert_eq!(wrapped.pool().map(|p| p.threads()), Some(2));
-        // `run_batch` uses the pinned pool (smoke: results still correct).
-        let batch = wrapped
-            .run_batch((0..4).map(|_| sample_circuit()).collect())
-            .unwrap();
-        assert_eq!(batch.len(), 4);
 
         // The context hands the pinned pool to passes.
         let ctx = PassContext::new().with_pool(WorkStealingPool::with_threads(3));
         assert_eq!(ctx.pool().map(|p| p.threads()), Some(3));
         assert!(PassContext::new().pool().is_none());
-    }
-
-    #[test]
-    fn merge_pass_stats_matches_batch_merging() {
-        let circuits: Vec<Circuit> = (0..4).map(|_| sample_circuit()).collect();
-        let manager = PassManager::new()
-            .with_pass(LowerToGGates)
-            .with_pass(CancelInversePairs)
-            .with_cache(CacheMode::PerRun);
-        let reports: Vec<PipelineReport> = circuits
-            .iter()
-            .map(|c| manager.run(c.clone()).unwrap())
-            .collect();
-        let direct = merge_pass_stats(reports.iter().map(|r| r.stats.as_slice()));
-        let via_batch = BatchReport { reports }.merged_stats();
-        assert_eq!(direct, via_batch);
-        assert_eq!(direct.len(), 2);
-        assert_eq!(direct[0].jobs, 4);
     }
 
     #[test]

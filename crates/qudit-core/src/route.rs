@@ -743,8 +743,7 @@ pub fn route_batch(
     pool: Option<&WorkStealingPool>,
 ) -> Result<Vec<Routed>> {
     let router = Router::new(graph, cost);
-    let results: Vec<Result<Routed>> = match pool.filter(|p| p.threads() > 1 && circuits.len() > 1)
-    {
+    let results: Vec<Result<Routed>> = match pool.filter(|p| p.fans_out() && circuits.len() > 1) {
         Some(pool) => pool.map((0..circuits.len()).collect(), |i| {
             router.route(&circuits[i])
         }),

@@ -42,7 +42,7 @@
 //!   to sequential fused execution for every worker count.
 
 use qudit_core::math::Complex;
-use qudit_core::pool::{in_worker, WorkStealingPool};
+use qudit_core::pool::WorkStealingPool;
 use qudit_core::{
     Circuit, ControlPredicate, Dimension, Gate, GateOp, QuditError, Result, SingleQuditOp,
 };
@@ -560,8 +560,7 @@ impl StateVector {
         }
         let d = program.dimension.as_usize();
         let size = program.size;
-        let parallel = pool
-            .filter(|pool| pool.threads() > 1 && !in_worker() && size >= PANEL_PARALLEL_THRESHOLD);
+        let parallel = pool.filter(|pool| pool.fans_out() && size >= PANEL_PARALLEL_THRESHOLD);
         let amplitudes = self.amplitudes_mut();
         let Some(pool) = parallel else {
             for op in &program.ops {

@@ -166,10 +166,8 @@ impl VerifyEquivalence {
             && crate::stabilizer::is_clifford_circuit(before)
             && crate::stabilizer::is_clifford_circuit(after)
         {
-            let parallel = !qudit_core::pool::in_worker();
-            let pool = parallel.then(|| pinned_pool.unwrap_or_default());
-            let equal =
-                crate::stabilizer::clifford_circuits_equal_on(before, after, pool.as_ref())?;
+            let pool = pinned_pool.unwrap_or_default();
+            let equal = crate::stabilizer::clifford_circuits_equal_on(before, after, Some(&pool))?;
             if !equal {
                 return Err(self.fail(
                     "output circuit is not equivalent to its input (stabilizer tableaus differ)"
@@ -183,14 +181,14 @@ impl VerifyEquivalence {
                 // One sweep over the basis yields the witness directly.
                 // Each state checks independently, so large sweeps fan out
                 // over the run's pinned pool — or an environment-sized one
-                // when the manager pinned none — never nested inside a
-                // batch worker (see qudit_core::pool); the witness (if any)
-                // is the first in basis order regardless of which worker
-                // found it.  Small sweeps stream the iterator without
-                // collecting.
-                let parallel = size >= PARALLEL_VERIFY_THRESHOLD && !qudit_core::pool::in_worker();
-                let pool = parallel.then(|| pinned_pool.unwrap_or_default());
-                match pool.filter(|pool| pool.threads() > 1) {
+                // when the manager pinned none — whenever that pool fans
+                // out (see qudit_core::pool); the witness (if any) is the
+                // first in basis order regardless of which worker found it.
+                // Small sweeps stream the iterator without collecting.
+                let pool = (size >= PARALLEL_VERIFY_THRESHOLD)
+                    .then(|| pinned_pool.unwrap_or_default())
+                    .filter(WorkStealingPool::fans_out);
+                match pool {
                     Some(pool) => {
                         let states: Vec<Vec<u32>> =
                             crate::basis::all_basis_states(dimension, before.width()).collect();

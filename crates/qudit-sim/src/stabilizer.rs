@@ -510,9 +510,7 @@ fn sweep_rows(
     if actions.is_empty() {
         return;
     }
-    let parallel = pool
-        .filter(|pool| pool.threads() > 1)
-        .filter(|_| rows.len() >= PARALLEL_ROW_THRESHOLD && !qudit_core::pool::in_worker());
+    let parallel = pool.filter(|pool| pool.fans_out() && rows.len() >= PARALLEL_ROW_THRESHOLD);
     match parallel {
         Some(pool) => {
             let chunk_size = rows.len().div_ceil(pool.threads().saturating_mul(2)).max(1);

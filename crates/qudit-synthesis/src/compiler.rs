@@ -296,10 +296,9 @@ impl CompileOptions {
     }
 
     /// Pins an existing pool on the compiler instead of letting it build
-    /// its own — overrides [`CompileOptions::threads`].  The compile
-    /// service pins one [`WorkStealingPool::persistent`] pool here so every
-    /// job dispatches onto long-lived workers instead of paying
-    /// thread-spawn per compilation (pool clones share the same crew).
+    /// its own — overrides [`CompileOptions::threads`].  A pool is only its
+    /// worker count, so this is the same as
+    /// `threads(Threads::Fixed(pool.threads()))`.
     #[must_use]
     pub fn pool(mut self, pool: WorkStealingPool) -> Self {
         self.pool = Some(pool);
@@ -858,20 +857,24 @@ impl Compiler {
     ///
     /// Returns the first job error in input order (later jobs still run).
     pub fn compile_batch(&self, circuits: &[Circuit]) -> qudit_core::Result<BatchResult> {
-        let pool = self.manager.pool().unwrap_or_default();
         let embedded: Vec<Circuit> = circuits
             .iter()
             .map(|circuit| self.embed(circuit))
             .collect::<qudit_core::Result<_>>()?;
-        let batch = self.manager.run_batch_refs(&embedded, &pool)?;
+        let pool = self.manager.pool().unwrap_or_default();
+        let reports = pool.map(embedded, |circuit| self.manager.run(circuit));
         let panel_threads = self.panel_threads();
-        Ok(BatchResult {
-            results: batch
-                .reports
-                .into_iter()
-                .map(|report| CompileResult::from_report(report, &self.options, panel_threads))
-                .collect(),
-        })
+        let results = reports
+            .into_iter()
+            .map(|report| {
+                Ok(CompileResult::from_report(
+                    report?,
+                    &self.options,
+                    panel_threads,
+                ))
+            })
+            .collect::<qudit_core::Result<_>>()?;
+        Ok(BatchResult { results })
     }
 }
 
@@ -1069,6 +1072,27 @@ mod tests {
         for (job, result) in jobs.iter().zip(&batch.results) {
             assert_eq!(compiler.compile(job).unwrap().circuit, result.circuit);
         }
+    }
+
+    #[test]
+    fn compile_batch_returns_the_first_error_in_input_order() {
+        let synthesis = KToffoli::new(dim(3), 2).unwrap().synthesize().unwrap();
+        let width = synthesis.layout().width;
+        let compiler = CompileOptions::new()
+            .shape(dim(3), width)
+            .threads(Threads::Fixed(2))
+            .compiler();
+        let good = synthesis.circuit().clone();
+        let wrong_width = Circuit::new(dim(3), width + 2);
+        let wrong_dimension = Circuit::new(dim(5), width);
+        match compiler.compile_batch(&[good.clone(), wrong_width, wrong_dimension]) {
+            Err(qudit_core::QuditError::IncompatibleCircuits { reason }) => assert!(
+                reason.ends_with(&format!("got d=3, width={}", width + 2)),
+                "the wrong-width job comes first: {reason}"
+            ),
+            other => panic!("expected IncompatibleCircuits, got {other:?}"),
+        }
+        assert_eq!(compiler.compile_batch(&[good]).unwrap().len(), 1);
     }
 
     #[test]

@@ -98,8 +98,7 @@ pub fn lower_to_elementary_cached(
 /// Chunks of macro gates lower concurrently and are concatenated in gate
 /// order, so the output circuit is identical to the sequential path.  As in
 /// [`qudit_core::lowering::lower_circuit_parallel`], the returned counters
-/// derive the miss count from the distinct entries added to the cache, which
-/// keeps them order-independent.
+/// are the exact sum of the per-chunk cache tallies.
 ///
 /// # Errors
 ///
@@ -112,11 +111,9 @@ pub fn lower_to_elementary_parallel(
     let dimension = circuit.dimension();
     let width = circuit.width();
     let (gates, counters) =
-        core_lowering::lower_gates_chunked(circuit.gates(), cache, pool, |gate, counters| {
-            match cache {
-                Some(cache) => lower_macro_gate_cached(gate, dimension, width, cache, counters),
-                None => lower_macro_gate(gate, dimension, width),
-            }
+        core_lowering::lower_gates_chunked(circuit.gates(), pool, |gate, counters| match cache {
+            Some(cache) => lower_macro_gate_cached(gate, dimension, width, cache, counters),
+            None => lower_macro_gate(gate, dimension, width),
         })?;
     let mut out = Circuit::new(dimension, width);
     out.extend_gates(gates).map_err(SynthesisError::from)?;

@@ -6,9 +6,11 @@
 //! of that server, built from what is already in-tree — no async runtime
 //! exists offline, so the front door is a hand-rolled blocking design:
 //!
-//! * **Transport** — one listener thread accepts TCP connections; each
-//!   connection gets a reader thread.  Requests and replies are one JSON
-//!   object per line (see [Protocol](#protocol)).
+//! * **Transport** — one listener thread blocks in `accept`; each
+//!   connection gets a reader thread blocking in `read_line`.  Requests and
+//!   replies are one JSON object per line (see [Protocol](#protocol)).
+//!   Shutdown wakes the listener with a loopback connect and the readers
+//!   by shutting down the read half of each connection, so nothing polls.
 //! * **Scheduling** — jobs enter per-tenant FIFO queues.  At most one job
 //!   per tenant is in flight at a time, so a tenant's replies always come
 //!   back in submission order, and no tenant can monopolise the workers.
@@ -20,9 +22,8 @@
 //!   sockets until a worker finishes, so saturation propagates to clients
 //!   through TCP flow control instead of through memory growth.
 //! * **Shared substrates** — every job compiles through one
-//!   [`Compiler`] pinned to a persistent
-//!   [`WorkStealingPool`] (long-lived workers, no
-//!   thread-spawn per job) and one bounded, shared
+//!   [`Compiler`] pinned to a [`WorkStealingPool`] as wide as the worker
+//!   count, and one bounded, shared
 //!   [`LoweringCache`] ([`ServiceConfig::cache_capacity`]), optionally
 //!   warm-started from a snapshot ([`ServiceConfig::warm_start`]) and
 //!   exportable at any time ([`CompileService::cache_snapshot`]).
@@ -70,7 +71,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -82,14 +83,10 @@ use qudit_core::pool::WorkStealingPool;
 
 use crate::compiler::{CompileOptions, Compiler};
 
-/// How long blocked socket reads and the accept loop sleep between checks
-/// of the shutdown flag.
-const POLL_INTERVAL: Duration = Duration::from_millis(25);
-
 /// Configuration of a [`CompileService`].
 ///
 /// The defaults bind an ephemeral loopback port, run two compile workers
-/// over a persistent pool of the same width, bound the shared cache at 1024
+/// over a pool of the same width, bound the shared cache at 1024
 /// entries, and apply the standard [`CompileOptions`] flow to every job.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
@@ -131,7 +128,7 @@ impl ServiceConfig {
     }
 
     /// Number of compile workers — concurrent jobs in flight — and the
-    /// width of the persistent pool they share (default 2; values below 1
+    /// width of the pool they share (default 2; values below 1
     /// are treated as 1).
     #[must_use]
     pub fn workers(mut self, workers: usize) -> Self {
@@ -178,7 +175,7 @@ impl ServiceConfig {
 
     /// The compile options applied to every job (default
     /// [`CompileOptions::new`]).  The cache and pool knobs are overridden
-    /// by the service's own shared cache and persistent pool.
+    /// by the service's own shared cache and pool.
     #[must_use]
     pub fn options(mut self, options: CompileOptions) -> Self {
         self.options = options;
@@ -295,6 +292,10 @@ struct Shared {
     compile_errors: AtomicU64,
 }
 
+/// One connection's reader thread, plus a handle on its socket that
+/// shutdown uses to end the thread's blocking read.
+type Reader = (TcpStream, JoinHandle<()>);
+
 /// A running compile service; dropping (or calling
 /// [`CompileService::shutdown`]) stops accepting, drains queued jobs and
 /// joins every thread.
@@ -303,7 +304,7 @@ pub struct CompileService {
     addr: SocketAddr,
     acceptor: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
-    readers: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    readers: Arc<Mutex<Vec<Reader>>>,
 }
 
 impl CompileService {
@@ -323,16 +324,14 @@ impl CompileService {
                 .restore_snapshot(snapshot)
                 .map_err(|error| io::Error::new(io::ErrorKind::InvalidData, error.to_string()))?;
         }
-        let pool = WorkStealingPool::persistent(config.workers);
         let compiler = config
             .options
             .clone()
             .cache(CacheMode::Shared(cache.clone()))
-            .pool(pool)
+            .pool(WorkStealingPool::with_threads(config.workers))
             .compiler();
         let listener = TcpListener::bind(&config.bind)?;
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let shared = Arc::new(Shared {
             state: Mutex::new(SchedulerState {
                 tenants: HashMap::new(),
@@ -352,7 +351,7 @@ impl CompileService {
             protocol_errors: AtomicU64::new(0),
             compile_errors: AtomicU64::new(0),
         });
-        let readers: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
+        let readers: Arc<Mutex<Vec<Reader>>> = Arc::new(Mutex::new(Vec::new()));
         let acceptor = {
             let shared = shared.clone();
             let readers = readers.clone();
@@ -414,10 +413,19 @@ impl CompileService {
         self.shared.job_ready.notify_all();
         self.shared.space.notify_all();
         if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
+            // The acceptor blocks in `accept`: one loopback connect wakes it
+            // to see the flag.  Should the connect fail, the thread is left
+            // detached rather than joined forever.
+            if TcpStream::connect(wake_addr(self.addr)).is_ok() {
+                let _ = acceptor.join();
+            }
         }
+        // Readers block in `read_line`: shutting down the read half ends the
+        // read once the buffered lines are consumed, while the write half
+        // stays open for the replies of jobs still queued.
         let readers = std::mem::take(&mut *lock_unpoisoned(&self.readers));
-        for reader in readers {
+        for (stream, reader) in readers {
+            let _ = stream.shutdown(Shutdown::Read);
             let _ = reader.join();
         }
         for worker in self.workers.drain(..) {
@@ -439,21 +447,43 @@ fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// The listener thread: accepts connections until shutdown, spawning one
+/// The address [`CompileService::stop`] connects to in order to wake the
+/// acceptor: the bound port on loopback when the service listens on an
+/// unspecified address.
+fn wake_addr(addr: SocketAddr) -> SocketAddr {
+    let ip = match addr.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, addr.port())
+}
+
+/// The listener thread: blocks in `accept` until shutdown, spawning one
 /// reader thread per connection.
-fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, readers: &Mutex<Vec<JoinHandle<()>>>) {
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let shared = shared.clone();
-                let handle = std::thread::spawn(move || reader_loop(stream, &shared));
-                lock_unpoisoned(readers).push(handle);
-            }
-            Err(error) if error.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(POLL_INTERVAL);
-            }
-            Err(_) => std::thread::sleep(POLL_INTERVAL),
+fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, readers: &Mutex<Vec<Reader>>) {
+    for stream in listener.incoming() {
+        if shared.shutdown.load(Ordering::SeqCst) {
+            break;
         }
+        let Ok(stream) = stream else {
+            // A full descriptor table fails every accept until a connection
+            // closes; back off instead of spinning on it.
+            std::thread::sleep(Duration::from_millis(10));
+            continue;
+        };
+        let Ok(handle) = stream.try_clone() else {
+            continue;
+        };
+        let shared = shared.clone();
+        let reader = std::thread::spawn(move || reader_loop(stream, &shared));
+        let mut readers = lock_unpoisoned(readers);
+        // Reap the readers of connections that already closed, so a
+        // long-running service does not keep their sockets open.
+        for (_, finished) in readers.extract_if(.., |(_, reader)| reader.is_finished()) {
+            let _ = finished.join();
+        }
+        readers.push((handle, reader));
     }
 }
 
@@ -464,35 +494,16 @@ fn reader_loop(stream: TcpStream, shared: &Arc<Shared>) {
         return;
     };
     let reply_to = Arc::new(Mutex::new(write_half));
-    if stream.set_read_timeout(Some(POLL_INTERVAL)).is_err() {
-        return;
-    }
     let mut reader = BufReader::new(stream);
     let mut line = String::new();
-    loop {
-        match reader.read_line(&mut line) {
-            Ok(0) => break,
-            Ok(_) => {
-                let trimmed = line.trim();
-                if !trimmed.is_empty() {
-                    handle_line(trimmed, shared, &reply_to);
-                }
-                line.clear();
-            }
-            Err(error)
-                if matches!(
-                    error.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                // Partial reads stay accumulated in `line`; just check for
-                // shutdown and keep waiting.
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-            }
-            Err(_) => break,
+    // `Ok(0)` is end of stream: the client closed, or shutdown closed the
+    // read half.
+    while let Ok(1..) = reader.read_line(&mut line) {
+        let trimmed = line.trim();
+        if !trimmed.is_empty() {
+            handle_line(trimmed, shared, &reply_to);
         }
+        line.clear();
     }
 }
 
@@ -906,6 +917,34 @@ fn parse_reply(line: &str) -> Result<JobReply, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn closed_connections_release_their_reader_slots() {
+        let service = CompileService::start(ServiceConfig::new().workers(1)).expect("boots");
+        let ping = |client: &mut ServiceClient| {
+            client.send_raw("not json").expect("send");
+            assert_eq!(client.recv().expect("reply").status, JobStatus::Error);
+        };
+        for _ in 0..3 {
+            // The reply proves the connection was accepted and registered.
+            ping(&mut ServiceClient::connect(service.local_addr()).expect("connect"));
+        }
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        while !lock_unpoisoned(&service.readers)
+            .iter()
+            .all(|(_, reader)| reader.is_finished())
+        {
+            assert!(std::time::Instant::now() < deadline, "readers did not exit");
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        let mut live = ServiceClient::connect(service.local_addr()).expect("connect");
+        ping(&mut live);
+        assert_eq!(
+            lock_unpoisoned(&service.readers).len(),
+            1,
+            "accepting a connection reaps the closed ones"
+        );
+    }
 
     #[test]
     fn json_round_trips_escapes() {

@@ -226,3 +226,38 @@ fn snapshot_warm_start_round_trips_to_pure_hits() {
     assert_eq!(error.kind(), std::io::ErrorKind::InvalidData);
     assert!(error.to_string().contains("snapshot"));
 }
+
+#[test]
+fn shutdown_replies_to_queued_jobs_then_closes_the_connection() {
+    // One worker, five jobs queued behind it: shutdown ends the blocking
+    // reader, but the replies of admitted jobs still go out on the write
+    // half before the connection closes.
+    let service = CompileService::start(ServiceConfig::new().workers(1)).expect("service boots");
+    let mut client = ServiceClient::connect(service.local_addr()).expect("connect");
+    let jobs = 5;
+    for j in 0..jobs {
+        client
+            .send(&job("drain", j, mcs_source(3, 4, (0, 2), 3)))
+            .expect("send");
+    }
+    // Shut down only once every job is admitted, so each reply is `ok`.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    while service.stats().accepted < jobs as u64 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "jobs were not admitted"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+    let stats = service.shutdown();
+    assert_eq!(stats.completed, jobs as u64);
+    for j in 0..jobs {
+        let reply = client.recv().expect("one reply per queued job");
+        assert!(reply.is_ok(), "job {j}: {}", reply.message);
+        assert_eq!(reply.id, format!("drain-{j}"));
+    }
+    let end = client
+        .recv()
+        .expect_err("the connection closes after the replies");
+    assert_eq!(end.kind(), std::io::ErrorKind::UnexpectedEof);
+}

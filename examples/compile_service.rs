@@ -5,7 +5,7 @@
 //! Demonstrates:
 //!
 //! 1. booting `CompileService` on an ephemeral loopback port with a bounded
-//!    shared cache and a persistent worker pool;
+//!    shared cache and a worker pool as wide as the compile workers;
 //! 2. the newline-JSON protocol via `ServiceClient` — ok, error and
 //!    rejected replies;
 //! 3. warm-starting a second service from the first one's cache snapshot
