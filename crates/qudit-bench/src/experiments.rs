@@ -1159,10 +1159,9 @@ mod tests {
     use super::*;
     use std::sync::OnceLock;
 
-    /// The deterministic `--quick` tables (every experiment but E11, whose
-    /// elapsed column differs run to run), in report order and keyed by
-    /// their `--exp` id.  Computed once per test binary and shared by the
-    /// golden and the shape tests.
+    /// The `--quick` tables in report order, keyed by their `--exp` id.
+    /// Computed once per test binary and shared by the goldens and the shape
+    /// tests.
     fn quick_tables() -> &'static [(&'static str, Table)] {
         static TABLES: OnceLock<Vec<(&'static str, Table)>> = OnceLock::new();
         TABLES.get_or_init(|| {
@@ -1179,6 +1178,7 @@ mod tests {
                 ("e8", e8_clifford_t(scale)),
                 ("e9", e9_lower_bound(scale)),
                 ("e10", e10_peephole(scale)),
+                ("e11", e11_pipeline(scale)),
                 ("figs", figure_verification()),
             ]
         })
@@ -1192,21 +1192,12 @@ mod tests {
             .unwrap_or_else(|| panic!("no quick table {id}"))
     }
 
-    /// The exact `--quick` markdown of every deterministic table must match
-    /// the checked-in golden, so no refactor moves a paper number silently.
-    /// Regenerate after an intentional change with
-    /// `QUDIT_BLESS=1 cargo test -p qudit-bench quick_tables_match_the_golden`.
-    #[test]
-    fn quick_tables_match_the_golden() {
-        let rendered = quick_tables()
-            .iter()
-            .map(|(_, table)| table.to_markdown())
-            .collect::<Vec<_>>()
-            .join("\n");
-        let golden_path =
-            std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("quick_tables.expected");
+    /// Compares `rendered` with the checked-in golden `file` (next to this
+    /// crate's manifest), or rewrites the golden when `QUDIT_BLESS` is set.
+    fn assert_matches_golden(file: &str, rendered: &str) {
+        let golden_path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(file);
         if std::env::var_os("QUDIT_BLESS").is_some() {
-            std::fs::write(&golden_path, &rendered).unwrap();
+            std::fs::write(&golden_path, rendered).unwrap();
             return;
         }
         let golden = std::fs::read_to_string(&golden_path).unwrap_or_else(|e| {
@@ -1226,12 +1217,40 @@ mod tests {
                 })
                 .collect();
             panic!(
-                "quick tables drifted from the golden ({} vs {} lines; QUDIT_BLESS=1 regenerates):\n{}",
+                "{file} drifted from the golden ({} vs {} lines; QUDIT_BLESS=1 regenerates):\n{}",
                 golden.lines().count(),
                 rendered.lines().count(),
                 diff.join("\n")
             );
         }
+    }
+
+    /// The exact `--quick` markdown of every table but E11 must match the
+    /// checked-in golden, so no refactor moves a paper number silently.
+    /// Regenerate after an intentional change with
+    /// `QUDIT_BLESS=1 cargo test -p qudit-bench quick_tables_match_the_golden`.
+    #[test]
+    fn quick_tables_match_the_golden() {
+        let rendered = quick_tables()
+            .iter()
+            .filter(|(id, _)| *id != "e11")
+            .map(|(_, table)| table.to_markdown())
+            .collect::<Vec<_>>()
+            .join("\n");
+        assert_matches_golden("quick_tables.expected", &rendered);
+    }
+
+    /// The `--quick` E11 table (per-pass gates, depth and cache hits) must
+    /// match its golden over every column but `elapsed µs` and `panel
+    /// threads`, which vary with the run, not with the compiler.
+    /// Regenerate with `QUDIT_BLESS=1 cargo test -p qudit-bench
+    /// quick_e11_matches_the_golden`.
+    #[test]
+    fn quick_e11_matches_the_golden() {
+        assert_matches_golden(
+            "quick_e11.expected",
+            &deterministic_columns(quick_table("e11")).to_markdown(),
+        );
     }
 
     #[test]
@@ -1273,28 +1292,27 @@ mod tests {
         assert!(ratio > 0.0);
     }
 
-    /// Drops the wall-time column (nondeterministic) and the panel-threads
-    /// column (run configuration, not compilation output) from a table's rows.
-    fn without_elapsed(table: &Table) -> Vec<Vec<String>> {
-        let skipped: Vec<usize> = table
+    /// The table without its wall-time column (nondeterministic) and its
+    /// panel-threads column (run configuration, not compilation output).
+    fn deterministic_columns(table: &Table) -> Table {
+        let kept: Vec<usize> = table
             .headers
             .iter()
             .enumerate()
-            .filter(|(_, h)| h.starts_with("elapsed") || *h == "panel threads")
+            .filter(|(_, h)| !h.starts_with("elapsed") && *h != "panel threads")
             .map(|(i, _)| i)
             .collect();
-        assert!(!skipped.is_empty(), "table has an elapsed column");
-        table
-            .rows
-            .iter()
-            .map(|row| {
-                row.iter()
-                    .enumerate()
-                    .filter(|(i, _)| !skipped.contains(i))
-                    .map(|(_, cell)| cell.clone())
-                    .collect()
-            })
-            .collect()
+        assert!(
+            kept.len() < table.headers.len(),
+            "table has an elapsed column"
+        );
+        let pick =
+            |cells: &[String]| -> Vec<String> { kept.iter().map(|&i| cells[i].clone()).collect() };
+        Table {
+            title: table.title.clone(),
+            headers: pick(&table.headers),
+            rows: table.rows.iter().map(|row| pick(row)).collect(),
+        }
     }
 
     #[test]
@@ -1333,8 +1351,8 @@ mod tests {
         let sequential_table = e11_table_from_results(&sweep, &sequential, &routed_sequential);
         let batch_table = e11_table_from_results(&sweep, &batch.results, &routed_batch.results);
         assert_eq!(
-            without_elapsed(&sequential_table),
-            without_elapsed(&batch_table),
+            deterministic_columns(&sequential_table).rows,
+            deterministic_columns(&batch_table).rows,
             "batch compilation must reproduce the sequential E11 table"
         );
 
