@@ -1,9 +1,9 @@
 //! Criterion bench: commutation-aware depth scheduling on the lowered
 //! E10-style k-Toffoli sweep.
 //!
-//! Three timings per workload: building the dependency DAG sequentially,
-//! building it gate-parallel on the work-stealing pool, and the full
-//! `ScheduleDepth` pass (DAG + first-fit ASAP placement).  The workload is
+//! Three timings per workload: building the explicit dependency DAG, the
+//! fused scheduler, and the full `ScheduleDepth` pass (fused scheduling +
+//! circuit reassembly).  The workload is
 //! the optimised G-gate circuits of the standard flow — exactly what the
 //! scheduled pipeline hands the scheduler.
 
@@ -11,7 +11,6 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qudit_core::commute::{schedule_depth, DependencyDag};
 use qudit_core::depth::circuit_depth;
 use qudit_core::pipeline::{Pass, ScheduleDepth};
-use qudit_core::pool::WorkStealingPool;
 use qudit_core::{Circuit, Dimension};
 use qudit_synthesis::{CompileOptions, KToffoli};
 
@@ -44,20 +43,6 @@ fn bench_dag_sequential(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_dag_parallel(c: &mut Criterion) {
-    let jobs = lowered_jobs();
-    let pool = WorkStealingPool::new();
-    let mut group = c.benchmark_group("depth_scheduling");
-    for (label, circuit) in &jobs {
-        group.bench_with_input(
-            BenchmarkId::from_parameter(format!("dag_parallel_t{}_{label}", pool.threads())),
-            circuit,
-            |b, circuit| b.iter(|| DependencyDag::build_on(circuit, &pool).edge_count()),
-        );
-    }
-    group.finish();
-}
-
 fn bench_schedule(c: &mut Criterion) {
     let jobs = lowered_jobs();
     let mut group = c.benchmark_group("depth_scheduling");
@@ -84,11 +69,5 @@ fn bench_pass(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_dag_sequential,
-    bench_dag_parallel,
-    bench_schedule,
-    bench_pass
-);
+criterion_group!(benches, bench_dag_sequential, bench_schedule, bench_pass);
 criterion_main!(benches);

@@ -19,10 +19,8 @@
 //!   see the rule table below);
 //! * [`DependencyDag`] — the dependency DAG of a circuit under the oracle:
 //!   an edge `i → j` (for `i < j`) records that gate `j` must stay after
-//!   gate `i` because the oracle could not prove them commuting.  Building
-//!   the DAG is embarrassingly parallel per gate and fans out over a
-//!   [`WorkStealingPool`] for large circuits ([`DependencyDag::build_on`]);
-//! * [`schedule_depth`] / [`schedule_depth_on`] — an as-soon-as-possible
+//!   gate `i` because the oracle could not prove them commuting;
+//! * [`schedule_depth`] — an as-soon-as-possible
 //!   list scheduler: each gate is placed in the earliest layer that
 //!   respects its dependencies *and* has all of its wires free (first-fit,
 //!   so a late gate may slide into an idle-wire hole that the emission
@@ -92,13 +90,7 @@ use crate::dimension::Dimension;
 use crate::gate::{Gate, GateOp};
 use crate::math::MATRIX_TOLERANCE;
 use crate::ops::{Permutation, SingleQuditOp};
-use crate::pool::WorkStealingPool;
 use crate::qudit::QuditId;
-
-/// Gate count at and above which the
-/// [`ScheduleDepth`](crate::pipeline::ScheduleDepth) pass runs its
-/// dependency scans on a [`WorkStealingPool`] instead of sequentially.
-pub const PARALLEL_SCHEDULE_THRESHOLD: usize = 256;
 
 /// How a gate uses one of its qudits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -373,22 +365,8 @@ pub struct DependencyDag {
 }
 
 impl DependencyDag {
-    /// Builds the DAG sequentially.
+    /// Builds the DAG of a circuit.
     pub fn build(circuit: &Circuit) -> Self {
-        Self::build_inner(circuit, None)
-    }
-
-    /// Builds the DAG with the per-gate dependency scans fanned out over a
-    /// [`WorkStealingPool`].
-    ///
-    /// Each gate's predecessor list depends only on the (read-only) circuit,
-    /// so the parallel build returns exactly the sequential DAG for every
-    /// pool size.
-    pub fn build_on(circuit: &Circuit, pool: &WorkStealingPool) -> Self {
-        Self::build_inner(circuit, Some(pool))
-    }
-
-    fn build_inner(circuit: &Circuit, pool: Option<&WorkStealingPool>) -> Self {
         let gates = circuit.gates();
         let dimension = circuit.dimension();
         let infos: Vec<GateInfo> = gates.iter().map(|g| GateInfo::of(g, dimension)).collect();
@@ -432,11 +410,9 @@ impl DependencyDag {
                 }
             }
         };
-        let preds = match pool.filter(|pool| pool.fans_out() && gates.len() > 1) {
-            Some(pool) => pool.map((0..gates.len()).collect(), predecessors_of),
-            None => (0..gates.len()).map(predecessors_of).collect(),
-        };
-        DependencyDag { preds }
+        DependencyDag {
+            preds: (0..gates.len()).map(predecessors_of).collect(),
+        }
     }
 
     /// Number of gates (nodes).
@@ -593,11 +569,6 @@ pub fn schedule_over(circuit: &Circuit, dag: &DependencyDag) -> Schedule {
     assemble_schedule(circuit, layer)
 }
 
-/// Gate-count granularity of the scheduler's parallel prefix scans: each
-/// block's dependency bounds against the already-layered prefix are
-/// computed gate-parallel, then the block is placed sequentially.
-const SCHEDULE_BLOCK: usize = 512;
-
 /// The fused scheduler: computes exactly the layers of
 /// [`schedule_over`]`(circuit, DependencyDag::build(circuit))` without
 /// materialising the DAG.
@@ -608,70 +579,34 @@ const SCHEDULE_BLOCK: usize = 512;
 /// circuits that prunes the vast majority of pair checks (the dependency
 /// lists are dense, but dominated by low layers).  Scans run backward so
 /// the maximum rises as early as possible.
-fn schedule_layers(circuit: &Circuit, pool: Option<&WorkStealingPool>) -> Vec<usize> {
+fn schedule_layers(circuit: &Circuit) -> Vec<usize> {
     let gates = circuit.gates();
-    let n = gates.len();
     let dimension = circuit.dimension();
     let infos: Vec<GateInfo> = gates.iter().map(|g| GateInfo::of(g, dimension)).collect();
+    // Per-wire lists of the already-placed gates, ascending.
     let mut wire_gates: Vec<Vec<usize>> = vec![Vec::new(); circuit.width()];
+    let mut layer = vec![0usize; gates.len()];
+    let mut occupied = Occupancy::new(circuit.width());
     for (j, info) in infos.iter().enumerate() {
+        let mut best = 0usize;
+        for q in &info.support {
+            for &i in wire_gates[q.index()].iter().rev() {
+                if layer[i] > best
+                    && !commute_with_info(dimension, &gates[i], &infos[i], &gates[j], info)
+                {
+                    best = layer[i];
+                }
+            }
+        }
+        layer[j] = occupied.place(&info.support, best + 1);
         for q in &info.support {
             wire_gates[q.index()].push(j);
         }
     }
-
-    let mut layer = vec![0usize; n];
-    let mut occupied = Occupancy::new(circuit.width());
-    let mut block_start = 0;
-    while block_start < n {
-        let block_end = (block_start + SCHEDULE_BLOCK).min(n);
-        // Phase A — for each gate of the block, the largest layer among its
-        // non-commuting dependencies in the already-layered prefix.  The
-        // prefix layers are frozen, so the bounds are independent per gate
-        // and fan out over the pool.
-        let bound_of = |j: usize| -> usize {
-            let mut best = 0usize;
-            for q in &infos[j].support {
-                let wire = &wire_gates[q.index()];
-                let end = wire.partition_point(|&i| i < block_start);
-                for &i in wire[..end].iter().rev() {
-                    if layer[i] > best
-                        && !commute_with_info(dimension, &gates[i], &infos[i], &gates[j], &infos[j])
-                    {
-                        best = layer[i];
-                    }
-                }
-            }
-            best
-        };
-        let bounds: Vec<usize> = match pool.filter(|p| p.fans_out() && block_start > 0) {
-            Some(pool) => pool.map((block_start..block_end).collect(), bound_of),
-            None => (block_start..block_end).map(bound_of).collect(),
-        };
-        // Phase B — finish each bound against the block's own earlier gates
-        // (whose layers were just assigned) and place first-fit, in order.
-        for j in block_start..block_end {
-            let mut best = bounds[j - block_start];
-            for q in &infos[j].support {
-                let wire = &wire_gates[q.index()];
-                let start = wire.partition_point(|&i| i < block_start);
-                let end = wire.partition_point(|&i| i < j);
-                for &i in wire[start..end].iter().rev() {
-                    if layer[i] > best
-                        && !commute_with_info(dimension, &gates[i], &infos[i], &gates[j], &infos[j])
-                    {
-                        best = layer[i];
-                    }
-                }
-            }
-            layer[j] = occupied.place(&infos[j].support, best + 1);
-        }
-        block_start = block_end;
-    }
     layer
 }
 
-/// Reorders commuting gates to minimise depth (sequential DAG build).
+/// Reorders commuting gates to minimise depth.
 ///
 /// The returned circuit implements exactly the same operator as the input —
 /// only gate pairs the oracle proves commuting change relative order — and
@@ -705,17 +640,7 @@ fn schedule_layers(circuit: &Circuit, pool: Option<&WorkStealingPool>) -> Vec<us
 /// # }
 /// ```
 pub fn schedule_depth(circuit: &Circuit) -> Circuit {
-    assemble_schedule(circuit, schedule_layers(circuit, None)).circuit
-}
-
-/// [`schedule_depth`] with the dependency scans fanned out over a
-/// [`WorkStealingPool`] (block by block; see the module docs).
-///
-/// The dependency bounds depend only on the circuit, never on the worker
-/// count, so the parallel path returns byte-identical schedules for every
-/// pool size — callers may switch between the two freely.
-pub fn schedule_depth_on(circuit: &Circuit, pool: &WorkStealingPool) -> Circuit {
-    assemble_schedule(circuit, schedule_layers(circuit, Some(pool))).circuit
+    assemble_schedule(circuit, schedule_layers(circuit)).circuit
 }
 
 #[cfg(test)]
@@ -951,21 +876,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_dag_build_matches_sequential() {
-        let c = random_circuit(0x9E37_79B9, 4, 600);
-        let sequential = DependencyDag::build(&c);
-        for threads in [1, 2, 4] {
-            let pool = WorkStealingPool::with_threads(threads);
-            assert_eq!(
-                DependencyDag::build_on(&c, &pool),
-                sequential,
-                "threads = {threads}"
-            );
-            assert_eq!(schedule_depth_on(&c, &pool), schedule_depth(&c));
-        }
-    }
-
-    #[test]
     fn scheduling_fills_idle_wire_holes() {
         let c = sample_circuit();
         assert_eq!(circuit_depth(&c), 3);
@@ -998,13 +908,10 @@ mod tests {
     #[test]
     fn fused_scheduler_matches_dag_scheduler() {
         // The fused (layer-pruned) path must reproduce the explicit
-        // DAG-based schedule exactly, including across block boundaries.
-        let c = random_circuit(0xFEED_FACE_CAFE_BEEF, 4, 2 * super::SCHEDULE_BLOCK + 37);
+        // DAG-based schedule exactly, on a circuit past 1024 gates.
+        let c = random_circuit(0xFEED_FACE_CAFE_BEEF, 4, 1061);
         let via_dag = schedule_over(&c, &DependencyDag::build(&c));
-        let fused = schedule_depth(&c);
-        assert_eq!(via_dag.circuit, fused);
-        let pool = WorkStealingPool::with_threads(4);
-        assert_eq!(schedule_depth_on(&c, &pool), fused);
+        assert_eq!(via_dag.circuit, schedule_depth(&c));
     }
 
     #[test]

@@ -21,9 +21,10 @@
 //!   [`pipeline::PassManager`] composing lowering/optimisation stages with
 //!   per-pass statistics, plus [`pipeline::merge_pass_stats`] folding many
 //!   runs into order-independent batch statistics;
-//! * [`pool`] — a hand-rolled scoped-thread work-stealing pool backing the
-//!   parallel lowering and batch paths, and the one place that decides
-//!   whether work fans out (the environment is offline, so no `rayon`);
+//! * [`pool`] — a hand-rolled scoped-thread work-stealing pool backing
+//!   batch compilation and the simulator's kernels, and the one place that
+//!   decides whether work fans out (the environment is offline, so no
+//!   `rayon`);
 //! * [`cache`] — the thread-safe lowering cache keyed by
 //!   `(gate kind, dimension, width-class)` with hit/miss accounting;
 //! * [`qasm`] — the OpenQASM-3-flavoured text IR: lexer, parser, semantic

@@ -13,13 +13,7 @@ use crate::dimension::Dimension;
 use crate::error::{QuditError, Result};
 use crate::gate::{Gate, GateOp};
 use crate::ops::{Permutation, SingleQuditOp};
-use crate::pool::WorkStealingPool;
 use crate::qudit::QuditId;
-
-/// Gate-count threshold above which the lowering passes fan the per-gate
-/// work out over a [`WorkStealingPool`].  Below it the per-task bookkeeping
-/// outweighs the parallelism.
-pub const PARALLEL_GATE_THRESHOLD: usize = 512;
 
 /// Lowers a single gate with at most one control into G-gates.
 ///
@@ -121,78 +115,6 @@ pub fn lower_circuit_cached(
         }
     }
     Ok(out)
-}
-
-/// [`lower_circuit`] with the per-gate work fanned out over `pool`,
-/// optionally through a shared [`LoweringCache`].
-///
-/// Gates lower independently, so the circuit is split into contiguous chunks
-/// that the pool's workers process concurrently (stealing across workers
-/// when chunks are unevenly expensive); the chunk results are concatenated
-/// in gate order, so the output circuit is identical to the sequential path.
-///
-/// The returned counters are the sum of the per-chunk tallies.  They are
-/// exact: [`LoweringCache::get_or_insert_with`] counts a lookup that lost an
-/// insert race as a hit, so every miss is one insertion by this call.
-///
-/// # Errors
-///
-/// Returns the first per-gate error in gate order.
-pub fn lower_circuit_parallel(
-    circuit: &Circuit,
-    cache: Option<&LoweringCache>,
-    pool: &WorkStealingPool,
-) -> Result<(Circuit, CacheCounters)> {
-    let dimension = circuit.dimension();
-    let width_class = WidthClass::of(circuit.width());
-    let (gates, counters) =
-        lower_gates_chunked(circuit.gates(), pool, |gate, counters| match cache {
-            Some(cache) => lower_gate_cached(gate, dimension, width_class, cache, counters),
-            None => lower_gate(gate, dimension),
-        })?;
-    let mut out = Circuit::new(dimension, circuit.width());
-    out.extend_gates(gates)?;
-    Ok((out, counters))
-}
-
-/// The chunked fan-out shared by every parallel lowering path: applies
-/// `lower` to each gate, in contiguous chunks over `pool`'s workers, and
-/// concatenates the expansions in gate order, summing the cache tallies
-/// `lower` records per chunk.
-///
-/// # Errors
-///
-/// Returns the first per-gate error in gate order.
-pub fn lower_gates_chunked<E, F>(
-    gates: &[Gate],
-    pool: &WorkStealingPool,
-    lower: F,
-) -> std::result::Result<(Vec<Gate>, CacheCounters), E>
-where
-    E: Send,
-    F: Fn(&Gate, &mut CacheCounters) -> std::result::Result<Vec<Gate>, E> + Sync,
-{
-    let chunk_size = gates
-        .len()
-        .div_ceil(pool.threads().saturating_mul(4).max(1))
-        .max(1);
-    let chunks: Vec<&[Gate]> = gates.chunks(chunk_size).collect();
-    let results = pool.map(chunks, |chunk| {
-        let mut counters = CacheCounters::default();
-        let mut lowered = Vec::new();
-        for gate in chunk {
-            lowered.extend(lower(gate, &mut counters)?);
-        }
-        Ok((lowered, counters))
-    });
-    let mut out = Vec::new();
-    let mut total = CacheCounters::default();
-    for result in results {
-        let (lowered, counters) = result?;
-        total.merge(counters);
-        out.extend(lowered);
-    }
-    Ok((out, total))
 }
 
 fn lower_uncontrolled(gate: &Gate, dimension: Dimension) -> Result<Vec<Gate>> {
@@ -500,7 +422,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_counters_match_a_full_bounded_cache() {
+    fn cached_counters_match_a_full_bounded_cache() {
         // Two alternating kinds through a one-entry cache: the cache never
         // grows past one entry, yet most lookups miss.
         let mut circuit = Circuit::new(dim(3), 2);
@@ -511,8 +433,8 @@ mod tests {
         }
         let cache = LoweringCache::with_capacity(1);
         let before = cache.counters();
-        let pool = WorkStealingPool::with_threads(2);
-        let (lowered, reported) = lower_circuit_parallel(&circuit, Some(&cache), &pool).unwrap();
+        let mut reported = CacheCounters::default();
+        let lowered = lower_circuit_cached(&circuit, &cache, &mut reported).unwrap();
         let after = cache.counters();
         assert_eq!(lowered, lower_circuit(&circuit).unwrap());
         assert_eq!(reported.hits, after.hits - before.hits);

@@ -28,11 +28,12 @@
 //!   `Compiler::compile_batch` facade in `qudit-synthesis` does so on a
 //!   [`WorkStealingPool`]); [`merge_pass_stats`] folds the per-run
 //!   statistics order-independently.
-//! * **Pooling** — [`PassManager::with_pool`] pins the worker pool every
-//!   parallel-capable pass draws from (through [`PassContext::pool`]);
-//!   unpooled managers size a fresh pool per pass from the environment.
-//!   Whether a pass fans out at all is the pool's decision
-//!   ([`WorkStealingPool::fans_out`]).
+//! * **Pooling** — [`PassManager::with_pool`] pins the worker pool that
+//!   batch callers dispatch jobs on and that simulation-backed wrappers
+//!   (`qudit-sim`'s `VerifyEquivalence`) read through
+//!   [`PassContext::pool`].  The compile passes themselves run on the
+//!   calling thread: each is a linear per-gate walk, so parallelism lives at
+//!   the job level.
 //!
 //! Pipelines can also be *assembled from data* instead of hard-coded
 //! builder chains: a [`PipelineSpec`] names the stages, shape and cache
@@ -165,8 +166,8 @@ impl Pass for Box<dyn Pass> {
 /// cache hit/miss tally, which the [`PassManager`] moves into
 /// [`PassStats::cache`]; when the manager was configured with
 /// [`PassManager::with_pool`], the context also carries the run's
-/// [`WorkStealingPool`] so parallel-capable passes share one worker
-/// configuration instead of sizing a fresh pool each.
+/// [`WorkStealingPool`] so pool-backed wrappers (verification) share one
+/// worker configuration instead of sizing a fresh pool each.
 #[derive(Debug, Default)]
 pub struct PassContext {
     cache: Option<Arc<LoweringCache>>,
@@ -189,7 +190,7 @@ impl PassContext {
         }
     }
 
-    /// Pins the worker pool parallel-capable passes should use (builder
+    /// Pins the worker pool pool-backed wrappers should use (builder
     /// style).
     #[must_use]
     pub fn with_pool(mut self, pool: WorkStealingPool) -> Self {
@@ -574,10 +575,10 @@ impl PassManager {
         &self.cache
     }
 
-    /// Pins the worker pool the manager's runs use: every parallel-capable
-    /// pass receives it through [`PassContext::pool`] instead of sizing a
-    /// fresh pool from the environment, and batch callers distribute jobs
-    /// on it.
+    /// Pins the worker pool the manager's runs use: batch callers
+    /// distribute jobs on it, and pool-backed wrappers (verification)
+    /// receive it through [`PassContext::pool`] instead of sizing a fresh
+    /// pool from the environment.
     #[must_use]
     pub fn with_pool(mut self, pool: WorkStealingPool) -> Self {
         self.pool = Some(pool);
@@ -870,13 +871,6 @@ impl Pass for GateFusion {
 
 /// Pass removing adjacent gate/inverse pairs
 /// (wraps [`crate::optimize::cancel_inverse_pairs`]).
-///
-/// The pass is parallel: circuits longer than
-/// [`optimize::CANCEL_WINDOW_SIZE`] gates are reduced window-by-window on a
-/// [`WorkStealingPool`] ([`optimize::cancel_inverse_pairs_on`]) whenever
-/// the pool fans out ([`WorkStealingPool::fans_out`]).  The windowed
-/// reduction is deterministic in the circuit alone, so every execution mode
-/// produces the identical circuit.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CancelInversePairs;
 
@@ -886,14 +880,6 @@ impl Pass for CancelInversePairs {
     }
 
     fn run(&self, circuit: Circuit) -> Result<Circuit> {
-        self.run_with(circuit, &mut PassContext::new())
-    }
-
-    fn run_with(&self, circuit: Circuit, ctx: &mut PassContext) -> Result<Circuit> {
-        let pool = ctx.pool().unwrap_or_default();
-        if circuit.len() > optimize::CANCEL_WINDOW_SIZE && pool.fans_out() {
-            return Ok(optimize::cancel_inverse_pairs_on(&circuit, &pool));
-        }
         Ok(optimize::cancel_inverse_pairs(&circuit))
     }
 }
@@ -904,12 +890,9 @@ impl Pass for CancelInversePairs {
 /// Gates with two or more controls make this pass fail; lower them first
 /// with `qudit-synthesis`'s `LowerToElementary` pass.
 ///
-/// The pass is cache-aware and parallel: when the run's [`PassContext`]
-/// carries a [`LoweringCache`] each gate kind is expanded once per
-/// `(kind, dimension, width-class)`, and circuits above
-/// [`lowering::PARALLEL_GATE_THRESHOLD`] gates are lowered gate-parallel on
-/// a [`WorkStealingPool`].  Both paths produce exactly the sequential
-/// output.
+/// The pass is cache-aware: when the run's [`PassContext`] carries a
+/// [`LoweringCache`] each gate kind is expanded once per
+/// `(kind, dimension, width-class)`, with exactly the uncached output.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LowerToGGates;
 
@@ -923,55 +906,13 @@ impl Pass for LowerToGGates {
     }
 
     fn run_with(&self, circuit: Circuit, ctx: &mut PassContext) -> Result<Circuit> {
-        dispatch_lowering_pass(
-            circuit,
-            ctx,
-            lowering::lower_circuit,
-            lowering::lower_circuit_cached,
-            lowering::lower_circuit_parallel,
-        )
-    }
-}
-
-/// The cache/parallel dispatch shared by the lowering passes
-/// (`LowerToGGates` here, `LowerToElementary` in `qudit-synthesis`).
-///
-/// Circuits above [`lowering::PARALLEL_GATE_THRESHOLD`] gates run through
-/// `parallel` on the run's pool whenever it fans out
-/// ([`WorkStealingPool::fans_out`]).  Otherwise the pass runs `cached` when
-/// the context carries a cache, and `plain` when it does not.  Cache
-/// tallies are recorded into the context either way.
-pub fn dispatch_lowering_pass<Plain, Cached, Parallel>(
-    circuit: Circuit,
-    ctx: &mut PassContext,
-    plain: Plain,
-    cached: Cached,
-    parallel: Parallel,
-) -> Result<Circuit>
-where
-    Plain: FnOnce(&Circuit) -> Result<Circuit>,
-    Cached: FnOnce(&Circuit, &LoweringCache, &mut CacheCounters) -> Result<Circuit>,
-    Parallel: FnOnce(
-        &Circuit,
-        Option<&LoweringCache>,
-        &WorkStealingPool,
-    ) -> Result<(Circuit, CacheCounters)>,
-{
-    let cache = ctx.cache().cloned();
-    let pool = ctx.pool().unwrap_or_default();
-    if circuit.len() >= lowering::PARALLEL_GATE_THRESHOLD && pool.fans_out() {
-        let (out, counters) = parallel(&circuit, cache.as_deref(), &pool)?;
+        let Some(cache) = ctx.cache().cloned() else {
+            return self.run(circuit);
+        };
+        let mut counters = CacheCounters::default();
+        let out = lowering::lower_circuit_cached(&circuit, &cache, &mut counters)?;
         ctx.record(counters);
-        return Ok(out);
-    }
-    match cache {
-        Some(cache) => {
-            let mut counters = CacheCounters::default();
-            let out = cached(&circuit, &cache, &mut counters)?;
-            ctx.record(counters);
-            Ok(out)
-        }
-        None => plain(&circuit),
+        Ok(out)
     }
 }
 
@@ -982,12 +923,6 @@ where
 /// proves commuting change relative order, so the output implements exactly
 /// the input's operator; the output's depth never exceeds the input's, and
 /// the pass is idempotent — a second run returns its input unchanged.
-///
-/// Circuits of at least [`commute::PARALLEL_SCHEDULE_THRESHOLD`] gates
-/// build the dependency DAG gate-parallel on a [`WorkStealingPool`]
-/// whenever the pool fans out ([`WorkStealingPool::fans_out`]).  The DAG
-/// depends only on the circuit, so every execution mode produces the
-/// identical schedule.
 ///
 /// # Example
 ///
@@ -1024,14 +959,6 @@ impl Pass for ScheduleDepth {
     }
 
     fn run(&self, circuit: Circuit) -> Result<Circuit> {
-        self.run_with(circuit, &mut PassContext::new())
-    }
-
-    fn run_with(&self, circuit: Circuit, ctx: &mut PassContext) -> Result<Circuit> {
-        let pool = ctx.pool().unwrap_or_default();
-        if circuit.len() >= commute::PARALLEL_SCHEDULE_THRESHOLD && pool.fans_out() {
-            return Ok(commute::schedule_depth_on(&circuit, &pool));
-        }
         Ok(commute::schedule_depth(&circuit))
     }
 }
@@ -1358,10 +1285,8 @@ mod tests {
 
     #[test]
     fn pinned_pools_reach_passes_and_batches() {
-        // A pinned single-worker pool forces the sequential paths; a
-        // multi-worker one the parallel paths.  Outputs are identical either
-        // way (pinned by the determinism suites); here we check the pool
-        // plumbing itself.
+        // Compile passes run on the calling thread whatever the pool; here
+        // we check the pool plumbing batch callers and wrappers rely on.
         let manager = PassManager::new()
             .with_pass(LowerToGGates)
             .with_pass(CancelInversePairs)

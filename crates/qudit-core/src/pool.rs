@@ -1,10 +1,13 @@
 //! A hand-rolled work-stealing pool over scoped threads.
 //!
-//! The compilation flow is embarrassingly parallel in two places: lowering
-//! is independent per gate, and batch compilation is independent per
-//! circuit.  The build environment is offline (no `rayon`), so this module
-//! provides the minimal parallel primitive both need: [`WorkStealingPool`],
-//! a fixed-size pool with per-worker deques and work stealing.
+//! Batch compilation is independent per circuit, and the simulator's
+//! verification kernels are independent per amplitude panel or tableau row;
+//! those are the places work fans out.  The compile passes themselves run
+//! on one thread: the paper's constructions are linear-size, so each pass
+//! is a cheap per-gate walk that a fan-out would only slow down.  The build
+//! environment is offline (no `rayon`), so this module provides the minimal
+//! parallel primitive the fan-outs need: [`WorkStealingPool`], a fixed-size
+//! pool with per-worker deques and work stealing.
 //!
 //! Every [`WorkStealingPool::map`] call spawns its workers inside a
 //! [`std::thread::scope`] and joins them before returning, so tasks borrow
@@ -19,10 +22,10 @@
 //!
 //! This module is the one place that decides whether work fans out.  Nested
 //! data parallelism oversubscribes the machine (each of N batch workers
-//! spawning N gate-lowering workers runs N² threads), so a `map` called from
+//! spawning N kernel workers runs N² threads), so a `map` called from
 //! inside a pool task runs inline on that worker.  Kernels that pick a
-//! different structure for parallel runs (chunked sweeps, windowed
-//! reductions) ask [`WorkStealingPool::fans_out`] first.
+//! different structure for parallel runs (segment-batched panels, chunked
+//! sweeps) ask [`WorkStealingPool::fans_out`] first.
 //!
 //! # Example
 //!

@@ -86,6 +86,10 @@ pub enum Verify {
 }
 
 /// Worker-pool sizing of a [`Compiler`].
+///
+/// The pool runs [`Compiler::compile_batch`]'s jobs, one per task, and the
+/// verification kernels' simulation sweeps.  The compile passes themselves
+/// always run on the calling thread.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Threads {
     /// Size the pool from the environment (`QUDIT_THREADS`, else the
@@ -93,7 +97,7 @@ pub enum Threads {
     #[default]
     Auto,
     /// A fixed worker count (values below 1 are treated as 1; `Fixed(1)`
-    /// forces every parallel path sequential).
+    /// runs batches and verification on the calling thread).
     Fixed(usize),
 }
 

@@ -12,7 +12,6 @@
 
 use qudit_core::cache::{CacheCounters, CanonicalSite, LoweringCache, LoweringStage, WidthClass};
 use qudit_core::lowering as core_lowering;
-use qudit_core::pool::WorkStealingPool;
 use qudit_core::{
     Circuit, Control, ControlPredicate, Dimension, Gate, GateOp, QuditError, QuditId, SingleQuditOp,
 };
@@ -90,34 +89,6 @@ pub fn lower_to_elementary_cached(
         }
     }
     Ok(out)
-}
-
-/// [`lower_to_elementary`] with the per-gate work fanned out over `pool`,
-/// optionally through a shared [`LoweringCache`].
-///
-/// Chunks of macro gates lower concurrently and are concatenated in gate
-/// order, so the output circuit is identical to the sequential path.  As in
-/// [`qudit_core::lowering::lower_circuit_parallel`], the returned counters
-/// are the exact sum of the per-chunk cache tallies.
-///
-/// # Errors
-///
-/// Returns the first per-gate error in gate order.
-pub fn lower_to_elementary_parallel(
-    circuit: &Circuit,
-    cache: Option<&LoweringCache>,
-    pool: &WorkStealingPool,
-) -> Result<(Circuit, CacheCounters)> {
-    let dimension = circuit.dimension();
-    let width = circuit.width();
-    let (gates, counters) =
-        core_lowering::lower_gates_chunked(circuit.gates(), pool, |gate, counters| match cache {
-            Some(cache) => lower_macro_gate_cached(gate, dimension, width, cache, counters),
-            None => lower_macro_gate(gate, dimension, width),
-        })?;
-    let mut out = Circuit::new(dimension, width);
-    out.extend_gates(gates).map_err(SynthesisError::from)?;
-    Ok((out, counters))
 }
 
 /// [`lower_macro_gate`] through the cache.
@@ -466,5 +437,35 @@ mod tests {
         let count = g_gate_count(&circuit).unwrap();
         assert_eq!(count, lower_to_g_gates(&circuit).unwrap().len());
         assert!(count > 0);
+    }
+
+    #[test]
+    fn cached_counters_match_a_full_bounded_cache() {
+        // Two alternating gadget kinds through a one-entry cache: the cache
+        // never grows past one entry, yet most lookups miss.
+        let dimension = dim(3);
+        let mut circuit = Circuit::new(dimension, 3);
+        for i in 0..200 {
+            circuit
+                .push(Gate::controlled(
+                    SingleQuditOp::Swap(0, 1 + i % 2),
+                    QuditId::new(2),
+                    vec![
+                        Control::zero(QuditId::new(0)),
+                        Control::zero(QuditId::new(1)),
+                    ],
+                ))
+                .unwrap();
+        }
+        let cache = LoweringCache::with_capacity(1);
+        let before = cache.counters();
+        let mut reported = CacheCounters::default();
+        let lowered = lower_to_elementary_cached(&circuit, &cache, &mut reported).unwrap();
+        let after = cache.counters();
+        assert_eq!(lowered, lower_to_elementary(&circuit).unwrap());
+        assert_eq!(reported.hits, after.hits - before.hits);
+        assert_eq!(reported.misses, after.misses - before.misses);
+        assert_eq!(reported.total(), 200);
+        assert!(reported.misses > 1, "a full bounded cache keeps missing");
     }
 }

@@ -18,7 +18,8 @@
 //! [`CompileOptions`](crate::compiler::CompileOptions) assembles them into a
 //! flow.
 
-use qudit_core::pipeline::{dispatch_lowering_pass, Pass, PassContext};
+use qudit_core::cache::CacheCounters;
+use qudit_core::pipeline::{Pass, PassContext};
 use qudit_core::{Circuit, QuditError};
 
 use crate::error::SynthesisError;
@@ -39,11 +40,9 @@ fn pass_error(pass: &str, error: SynthesisError) -> QuditError {
 /// elementary gates with at most one control
 /// (wraps [`crate::lower::lower_to_elementary`]).
 ///
-/// Like `LowerToGGates`, the pass is cache-aware and parallel: with a
-/// lowering cache in the run's [`PassContext`] every gadget expansion is
-/// computed once per `(gate kind, dimension, width-class)`, and macro
-/// circuits above the parallel threshold lower gate-parallel on a
-/// work-stealing pool.
+/// Like `LowerToGGates`, the pass is cache-aware: with a lowering cache in
+/// the run's [`PassContext`] every gadget expansion is computed once per
+/// `(gate kind, dimension, width-class)`, with exactly the uncached output.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LowerToElementary;
 
@@ -57,19 +56,14 @@ impl Pass for LowerToElementary {
     }
 
     fn run_with(&self, circuit: Circuit, ctx: &mut PassContext) -> qudit_core::Result<Circuit> {
-        let name = self.name();
-        dispatch_lowering_pass(
-            circuit,
-            ctx,
-            |c| lower::lower_to_elementary(c).map_err(|e| pass_error(name, e)),
-            |c, cache, counters| {
-                lower::lower_to_elementary_cached(c, cache, counters)
-                    .map_err(|e| pass_error(name, e))
-            },
-            |c, cache, pool| {
-                lower::lower_to_elementary_parallel(c, cache, pool).map_err(|e| pass_error(name, e))
-            },
-        )
+        let Some(cache) = ctx.cache().cloned() else {
+            return self.run(circuit);
+        };
+        let mut counters = CacheCounters::default();
+        let out = lower::lower_to_elementary_cached(&circuit, &cache, &mut counters)
+            .map_err(|e| pass_error(self.name(), e))?;
+        ctx.record(counters);
+        Ok(out)
     }
 }
 

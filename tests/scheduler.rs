@@ -2,9 +2,8 @@
 //!
 //! * property-based: scheduled circuits are equivalent to their inputs on
 //!   every simulation backend (`Dense`, `Sparse`, `Auto`), scheduling is
-//!   idempotent, never increases depth, and the pool-parallel path matches
-//!   the sequential one for 1 and 4 workers (the CI thread matrix
-//!   additionally runs this whole suite under `QUDIT_THREADS=1` and `=4`);
+//!   idempotent and never increases depth (the CI thread matrix runs this
+//!   whole suite under `QUDIT_THREADS=1` and `=4`);
 //! * regression: on the E10 k-Toffoli family, `ScheduleDepth` never
 //!   increases `circuit_depth`, and golden depth values pin a few fixed
 //!   `(d, k)` points so future passes cannot silently regress depth;
@@ -13,9 +12,8 @@
 //!   scheduler, is re-simulated and checked.
 
 use proptest::prelude::*;
-use qudit_core::commute::{schedule_depth, schedule_depth_on};
+use qudit_core::commute::schedule_depth;
 use qudit_core::depth::circuit_depth;
-use qudit_core::pool::WorkStealingPool;
 use qudit_core::{Circuit, Dimension, Gate, QuditId, SingleQuditOp};
 use qudit_sim::circuit_permutation;
 use qudit_sim::equivalence::{verify_mct_sampled, MctSpec};
@@ -95,12 +93,7 @@ proptest! {
             );
         }
         // Idempotence: a second run changes nothing.
-        prop_assert_eq!(schedule_depth(&scheduled), scheduled.clone());
-        // Pool-parallel path: identical for both CI worker counts.
-        for threads in [1usize, 4] {
-            let pool = WorkStealingPool::with_threads(threads);
-            prop_assert_eq!(&schedule_depth_on(&lowered, &pool), &scheduled);
-        }
+        prop_assert_eq!(schedule_depth(&scheduled), scheduled);
     }
 
     /// The scheduled standard pipeline (the opt-in preset) produces a
