@@ -8,7 +8,7 @@
 //! qudits renamed to `0, 1, 2, …` in role order), looked up by the canonical
 //! description, and the cached expansion is renamed back to the actual
 //! wires.  The cache is shared across threads behind an [`RwLock`], so the
-//! parallel batch and per-gate lowering paths all feed the same table, and
+//! jobs of a parallel batch and the service's workers feed one table, and
 //! hit/miss counts are kept both globally (atomics, for the cache lifetime)
 //! and per pass run (via [`CacheCounters`], surfaced in pass statistics).
 //!

@@ -292,9 +292,9 @@ mod tests {
         c
     }
 
-    // The three tests below were sized against the 1024-gate windows the
-    // pass once reduced independently; they stay as long-range cases of the
-    // single sweep.
+    // The names below refer to the 1024-gate windows an earlier version of
+    // the pass reduced independently; the sizes still exercise cancellation
+    // across a thousand and more gates.
 
     #[test]
     fn windowed_reduction_is_a_fixed_point() {

@@ -59,8 +59,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Scheduling preserves the circuit's operator on every backend, never
-    /// increases the measured depth, is idempotent, and is identical on the
-    /// sequential and pool-parallel paths (1 and 4 workers).
+    /// increases the measured depth, and is idempotent.
     #[test]
     fn scheduling_preserves_semantics_on_every_backend(
         d in 3u32..=4,
