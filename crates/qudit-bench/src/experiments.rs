@@ -1253,6 +1253,37 @@ mod tests {
         );
     }
 
+    /// Every section heading of the `--quick` report, checked on the shared
+    /// tables rather than on a recomputed report.
+    #[test]
+    fn quick_report_contains_every_section() {
+        let report = quick_tables()
+            .iter()
+            .map(|(_, table)| table.to_markdown())
+            .collect::<Vec<_>>()
+            .join("\n");
+        for heading in [
+            "E1",
+            "E2",
+            "E3",
+            "E3a",
+            "E4",
+            "E5",
+            "E6",
+            "E7",
+            "E8",
+            "E9",
+            "E10",
+            "E11",
+            "Figure verification",
+        ] {
+            assert!(
+                report.contains(heading),
+                "report is missing section {heading}"
+            );
+        }
+    }
+
     #[test]
     fn quick_tables_have_rows() {
         for (id, table) in quick_tables() {

@@ -60,6 +60,19 @@ impl Circuit {
         }
     }
 
+    /// A circuit of gates that are already known to be valid for the
+    /// dimension and width (for example a subsequence of another circuit's
+    /// gates), kept without validating them again.
+    pub(crate) fn from_valid_gates(dimension: Dimension, width: usize, gates: Vec<Gate>) -> Self {
+        debug_assert!(gates.iter().all(|g| g.validate(dimension, width).is_ok()));
+        Circuit {
+            dimension,
+            width,
+            gates,
+            register_name: None,
+        }
+    }
+
     /// The register name the circuit carries for text-IR printing, when it
     /// has one (set by the QASM lowering, `None` for programmatically built
     /// circuits, which print as the canonical register `q`).
@@ -259,7 +272,7 @@ impl Circuit {
     pub fn used_qudits(&self) -> Vec<QuditId> {
         let mut used = vec![false; self.width];
         for gate in &self.gates {
-            for q in gate.qudits() {
+            for q in gate.wires() {
                 used[q.index()] = true;
             }
         }

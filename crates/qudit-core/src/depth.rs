@@ -5,6 +5,7 @@
 //! paper cites; the experiment harness reports it alongside gate counts.
 
 use crate::circuit::Circuit;
+use crate::gate::Gate;
 
 /// Computes the depth of a circuit under the usual greedy (as-soon-as-possible)
 /// scheduling: a gate starts in the earliest layer after every qudit it
@@ -31,16 +32,7 @@ pub fn circuit_depth(circuit: &Circuit) -> usize {
     let mut finish = vec![0usize; circuit.width()];
     let mut depth = 0usize;
     for gate in circuit.gates() {
-        let start = gate
-            .qudits()
-            .iter()
-            .map(|q| finish[q.index()])
-            .max()
-            .unwrap_or(0);
-        let layer = start + 1;
-        for q in gate.qudits() {
-            finish[q.index()] = layer;
-        }
+        let layer = place(&mut finish, gate);
         depth = depth.max(layer);
     }
     depth
@@ -52,16 +44,7 @@ pub fn layers(circuit: &Circuit) -> Vec<Vec<usize>> {
     let mut finish = vec![0usize; circuit.width()];
     let mut result: Vec<Vec<usize>> = Vec::new();
     for (index, gate) in circuit.gates().iter().enumerate() {
-        let start = gate
-            .qudits()
-            .iter()
-            .map(|q| finish[q.index()])
-            .max()
-            .unwrap_or(0);
-        let layer = start + 1;
-        for q in gate.qudits() {
-            finish[q.index()] = layer;
-        }
+        let layer = place(&mut finish, gate);
         if result.len() < layer {
             result.resize_with(layer, Vec::new);
         }
@@ -70,12 +53,22 @@ pub fn layers(circuit: &Circuit) -> Vec<Vec<usize>> {
     result
 }
 
+/// Schedules `gate` one layer after the latest `finish` entry of its wires,
+/// records that layer on them and returns it (1-based).
+pub(crate) fn place(finish: &mut [usize], gate: &Gate) -> usize {
+    let wires = gate.wires();
+    let layer = wires.clone().map(|q| finish[q.index()]).max().unwrap_or(0) + 1;
+    for q in wires {
+        finish[q.index()] = layer;
+    }
+    layer
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::control::Control;
     use crate::dimension::Dimension;
-    use crate::gate::Gate;
     use crate::ops::SingleQuditOp;
     use crate::qudit::QuditId;
 

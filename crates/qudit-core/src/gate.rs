@@ -130,19 +130,47 @@ impl Gate {
     }
 
     /// All qudits the gate touches (controls, the `AddFrom` source, and the
-    /// target), in that order.
+    /// target), in that order, collected into a `Vec`.
+    ///
+    /// Per-gate loops should walk [`Gate::wires`] instead, which yields the
+    /// same qudits without allocating.
     pub fn qudits(&self) -> Vec<QuditId> {
-        let mut out: Vec<QuditId> = self.controls.iter().map(|c| c.qudit).collect();
-        if let GateOp::AddFrom { source, .. } = &self.op {
-            out.push(*source);
-        }
-        out.push(self.target);
-        out
+        self.wires().collect()
+    }
+
+    /// Iterates over the qudits the gate touches in the order of
+    /// [`Gate::qudits`] (controls, the `AddFrom` source, then the target),
+    /// without allocating.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// # use qudit_core::{Control, Gate, QuditId};
+    /// let gate = Gate::add_from(
+    ///     QuditId::new(2),
+    ///     false,
+    ///     QuditId::new(0),
+    ///     vec![Control::zero(QuditId::new(1))],
+    /// );
+    /// let wires: Vec<usize> = gate.wires().map(|q| q.index()).collect();
+    /// assert_eq!(wires, [1, 2, 0]);
+    /// ```
+    pub fn wires(&self) -> impl Iterator<Item = QuditId> + Clone + '_ {
+        let source = match self.op {
+            GateOp::AddFrom { source, .. } => Some(source),
+            GateOp::Single(_) => None,
+        };
+        self.controls
+            .iter()
+            .map(|c| c.qudit)
+            .chain(source)
+            .chain(std::iter::once(self.target))
     }
 
     /// Number of qudits the gate touches.
     pub fn arity(&self) -> usize {
-        self.qudits().len()
+        let source = usize::from(matches!(self.op, GateOp::AddFrom { .. }));
+        self.controls.len() + source + 1
     }
 
     /// Returns `true` when the gate permutes the computational basis.
@@ -171,20 +199,16 @@ impl Gate {
     /// control levels do not exist, or the operation itself is invalid for
     /// the dimension.
     pub fn validate(&self, dimension: Dimension, width: usize) -> Result<()> {
-        let qudits = self.qudits();
-        for q in &qudits {
-            if q.index() >= width {
-                return Err(QuditError::QuditOutOfRange {
-                    qudit: q.index(),
-                    width,
-                });
-            }
+        let wires = self.wires();
+        if let Some(q) = wires.clone().find(|q| q.index() >= width) {
+            return Err(QuditError::QuditOutOfRange {
+                qudit: q.index(),
+                width,
+            });
         }
-        for (i, a) in qudits.iter().enumerate() {
-            for b in qudits.iter().skip(i + 1) {
-                if a == b {
-                    return Err(QuditError::DuplicateQudit { qudit: a.index() });
-                }
+        for (i, a) in wires.clone().enumerate() {
+            if wires.clone().skip(i + 1).any(|b| a == b) {
+                return Err(QuditError::DuplicateQudit { qudit: a.index() });
             }
         }
         for c in &self.controls {
@@ -210,6 +234,27 @@ impl Gate {
             target: self.target,
             controls: self.controls.clone(),
         }
+    }
+
+    /// Returns `true` when `self` is exactly the inverse of `previous`, that
+    /// is when `previous.inverse(dimension) == *self`, without building the
+    /// inverse.
+    ///
+    /// The comparison is structural, like `==`: `Swap(i, j)` is its own
+    /// inverse but `Swap(j, i)` is not taken as the inverse of `Swap(i, j)`.
+    pub fn is_inverse_of(&self, previous: &Gate, dimension: Dimension) -> bool {
+        let op_inverts = match (&previous.op, &self.op) {
+            (GateOp::Single(a), GateOp::Single(b)) => b.is_inverse_of(a, dimension),
+            (
+                GateOp::AddFrom { source, negate },
+                GateOp::AddFrom {
+                    source: other_source,
+                    negate: other_negate,
+                },
+            ) => source == other_source && negate != other_negate,
+            _ => false,
+        };
+        op_inverts && self.target == previous.target && self.controls == previous.controls
     }
 
     /// Returns the gate with every qudit id (controls, `AddFrom` source and

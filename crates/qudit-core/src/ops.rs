@@ -115,6 +115,17 @@ impl Permutation {
         Permutation { map: inv }
     }
 
+    /// Returns `true` when `self` and `other` are inverse permutations, that
+    /// is when `self.inverse() == *other`.
+    pub(crate) fn is_inverse_of(&self, other: &Permutation) -> bool {
+        self.map.len() == other.map.len()
+            && self
+                .map
+                .iter()
+                .enumerate()
+                .all(|(from, &to)| other.map[to as usize] as usize == from)
+    }
+
     /// Returns the composition `self ∘ other` (apply `other` first).
     ///
     /// # Panics
@@ -485,6 +496,24 @@ impl SingleQuditOp {
             SingleQuditOp::ParityFlipOdd => SingleQuditOp::ParityFlipOdd,
             SingleQuditOp::Perm(p) => SingleQuditOp::Perm(p.inverse()),
             SingleQuditOp::Unitary(m) => SingleQuditOp::Unitary(m.adjoint()),
+        }
+    }
+
+    /// Returns `true` when `self` is exactly the inverse of `other`, that is
+    /// when `other.inverse(dimension) == *self`; only a general unitary
+    /// builds its adjoint to compare.
+    pub(crate) fn is_inverse_of(&self, other: &SingleQuditOp, dimension: Dimension) -> bool {
+        match (other, self) {
+            (SingleQuditOp::Swap(i, j), SingleQuditOp::Swap(k, l)) => (i, j) == (k, l),
+            (SingleQuditOp::Add(y), SingleQuditOp::Add(z)) => {
+                let d = dimension.get();
+                *z == (d - (*y % d)) % d
+            }
+            (SingleQuditOp::ParityFlipEven, SingleQuditOp::ParityFlipEven)
+            | (SingleQuditOp::ParityFlipOdd, SingleQuditOp::ParityFlipOdd) => true,
+            (SingleQuditOp::Perm(p), SingleQuditOp::Perm(q)) => p.is_inverse_of(q),
+            (SingleQuditOp::Unitary(m), SingleQuditOp::Unitary(n)) => m.adjoint() == *n,
+            _ => false,
         }
     }
 

@@ -14,7 +14,6 @@
 //! is the identity.
 
 use crate::circuit::Circuit;
-use crate::gate::Gate;
 
 /// Removes adjacent gate/inverse pairs from a circuit.
 ///
@@ -50,57 +49,65 @@ use crate::gate::Gate;
 /// # }
 /// ```
 pub fn cancel_inverse_pairs(circuit: &Circuit) -> Circuit {
+    let cancelled = cancelled_gates(circuit);
+    let survivors = cancelled.iter().filter(|&&gone| !gone).count();
+    let mut gates = Vec::with_capacity(survivors);
+    gates.extend(
+        circuit
+            .gates()
+            .iter()
+            .zip(&cancelled)
+            .filter(|(_, &gone)| !gone)
+            .map(|(gate, _)| gate.clone()),
+    );
+    Circuit::from_valid_gates(circuit.dimension(), circuit.width(), gates)
+}
+
+/// The sweep of [`cancel_inverse_pairs`]: marks every gate that cancels.
+fn cancelled_gates(circuit: &Circuit) -> Vec<bool> {
     let dimension = circuit.dimension();
-    // `kept[i]` is Some(gate) while gate i is still in the output.
-    let mut kept: Vec<Option<Gate>> = Vec::with_capacity(circuit.len());
-    // For each qudit, the indices (into `kept`) of the retained gates that
-    // touch it, in order.
+    let gates = circuit.gates();
+    let mut cancelled = vec![false; gates.len()];
+    // For each qudit, the indices of the retained gates that touch it, in
+    // order.
     let mut last_touch: Vec<Vec<usize>> = vec![Vec::new(); circuit.width()];
 
-    for gate in circuit.gates() {
-        let qudits = gate.qudits();
+    for (index, gate) in gates.iter().enumerate() {
+        let wires = gate.wires();
         // The candidate for cancellation is the most recent retained gate on
         // any of this gate's qudits — and it must be the most recent on all
-        // of them.
-        let candidate = qudits
-            .iter()
+        // of them.  An exact inverse touches exactly this gate's wires, so
+        // the pair is adjacent when the candidate tops every one of their
+        // stacks.
+        let partner = wires
+            .clone()
             .filter_map(|q| last_touch[q.index()].last().copied())
-            .max();
-        let cancels = candidate.is_some_and(|index| {
-            let previous = kept[index].as_ref().expect("candidate is retained");
-            let same_support = qudits
-                .iter()
-                .all(|q| last_touch[q.index()].last() == Some(&index));
-            let same_qudits = {
-                let mut a = previous.qudits();
-                let mut b = qudits.clone();
-                a.sort_unstable();
-                b.sort_unstable();
-                a == b
-            };
-            same_support && same_qudits && previous.inverse(dimension) == *gate
-        });
-        if let (true, Some(index)) = (cancels, candidate) {
+            .max()
+            .filter(|&previous| {
+                wires
+                    .clone()
+                    .all(|q| last_touch[q.index()].last() == Some(&previous))
+                    && gate.is_inverse_of(&gates[previous], dimension)
+            });
+        match partner {
             // Remove the previous gate and drop the current one.
-            kept[index] = None;
-            for q in &qudits {
-                let stack = &mut last_touch[q.index()];
-                debug_assert_eq!(stack.last(), Some(&index));
-                stack.pop();
+            Some(previous) => {
+                cancelled[previous] = true;
+                cancelled[index] = true;
+                for q in wires {
+                    let stack = &mut last_touch[q.index()];
+                    debug_assert_eq!(stack.last(), Some(&previous));
+                    stack.pop();
+                }
             }
-        } else {
-            let index = kept.len();
-            kept.push(Some(gate.clone()));
-            for q in &qudits {
-                last_touch[q.index()].push(index);
+            None => {
+                for q in wires {
+                    last_touch[q.index()].push(index);
+                }
             }
         }
     }
-
-    let mut out = Circuit::new(dimension, circuit.width());
-    out.extend_gates(kept.into_iter().flatten())
-        .expect("gates were valid in the input circuit");
-    out
+    cancelled
 }
 
 /// Convenience statistic: the number of gates removed by
@@ -114,6 +121,7 @@ mod tests {
     use super::*;
     use crate::control::Control;
     use crate::dimension::Dimension;
+    use crate::gate::Gate;
     use crate::ops::SingleQuditOp;
     use crate::qudit::QuditId;
 

@@ -76,7 +76,7 @@ use std::time::{Duration, Instant};
 use crate::cache::{CacheCounters, LoweringCache};
 use crate::circuit::Circuit;
 use crate::commute;
-use crate::depth::circuit_depth;
+use crate::depth::{self, circuit_depth};
 use crate::error::{QuditError, Result};
 use crate::lowering;
 use crate::optimize;
@@ -284,16 +284,27 @@ pub struct CircuitProfile {
 }
 
 impl CircuitProfile {
-    /// Profiles a circuit.
+    /// Profiles a circuit in one walk over its gates.
     pub fn of(circuit: &Circuit) -> Self {
-        CircuitProfile {
+        // `finish[q]` is the greedy layer of qudit q's latest gate, so a
+        // qudit is active exactly when its entry ends up non-zero.
+        let mut finish = vec![0usize; circuit.width()];
+        let mut profile = CircuitProfile {
             gates: circuit.len(),
-            g_gates: circuit.g_gate_count(),
-            two_qudit_gates: circuit.two_qudit_gate_count(),
-            depth: circuit_depth(circuit),
-            max_controls: circuit.max_controls(),
-            active_qudits: circuit.used_qudits().len(),
+            g_gates: 0,
+            two_qudit_gates: 0,
+            depth: 0,
+            max_controls: 0,
+            active_qudits: 0,
+        };
+        for gate in circuit.gates() {
+            profile.g_gates += usize::from(gate.is_g_gate());
+            profile.two_qudit_gates += usize::from(gate.arity() == 2);
+            profile.depth = profile.depth.max(depth::place(&mut finish, gate));
+            profile.max_controls = profile.max_controls.max(gate.controls().len());
         }
+        profile.active_qudits = finish.iter().filter(|&&layer| layer > 0).count();
+        profile
     }
 }
 
@@ -998,6 +1009,7 @@ mod tests {
     use crate::gate::Gate;
     use crate::ops::SingleQuditOp;
     use crate::qudit::QuditId;
+    use proptest::prelude::*;
 
     fn dim(d: u32) -> Dimension {
         Dimension::new(d).unwrap()
@@ -1122,6 +1134,53 @@ mod tests {
             manager.run(sample_circuit()),
             Err(QuditError::PassFailed { .. })
         ));
+    }
+
+    /// The profile composed from the circuit-level metrics, one walk each.
+    fn composed_profile(circuit: &Circuit) -> CircuitProfile {
+        CircuitProfile {
+            gates: circuit.len(),
+            g_gates: circuit.g_gate_count(),
+            two_qudit_gates: circuit.two_qudit_gate_count(),
+            depth: circuit_depth(circuit),
+            max_controls: circuit.max_controls(),
+            active_qudits: circuit.used_qudits().len(),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The one-walk profile equals the composed one on random circuits
+        /// (G-gates, predicate controls, value-controlled shifts, idle
+        /// wires).
+        #[test]
+        fn one_walk_profile_matches_the_composed_metrics(
+            d in 3u32..=6,
+            width in 1usize..=5,
+            specs in prop::collection::vec((0usize..5, 0usize..5, 0usize..5, 0u8..6, 0u32..6), 0..40),
+        ) {
+            let dimension = Dimension::new(d).unwrap();
+            let mut circuit = Circuit::new(dimension, width);
+            for (a, b, c, kind, level) in specs {
+                let (a, b, c, level) = (a % width, b % width, c % width, level % d);
+                let gate = match kind {
+                    0 => Gate::single(SingleQuditOp::Swap(0, 1 + level % (d - 1)), QuditId::new(a)),
+                    1 => Gate::controlled(SingleQuditOp::Swap(0, 1), QuditId::new(a), vec![Control::zero(QuditId::new(b))]),
+                    2 => Gate::controlled(SingleQuditOp::Add(1), QuditId::new(a), vec![Control::odd(QuditId::new(b))]),
+                    3 => Gate::controlled(
+                        SingleQuditOp::Add(level.max(1)),
+                        QuditId::new(a),
+                        vec![Control::level(QuditId::new(b), level), Control::nonzero(QuditId::new(c))],
+                    ),
+                    4 => Gate::add_from(QuditId::new(b), level % 2 == 0, QuditId::new(a), vec![]),
+                    _ => Gate::add_from(QuditId::new(b), false, QuditId::new(a), vec![Control::zero(QuditId::new(c))]),
+                };
+                // Gates whose wires collide are skipped.
+                let _ = circuit.push(gate);
+            }
+            prop_assert_eq!(CircuitProfile::of(&circuit), composed_profile(&circuit));
+        }
     }
 
     #[test]

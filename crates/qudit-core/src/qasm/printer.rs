@@ -71,16 +71,12 @@ fn print_gate(out: &mut String, gate: &Gate, register: &str) {
             out.push_str(if *negate { "sumdg" } else { "sum" });
         }
     }
-    // Gate::qudits() lists controls, then the AddFrom source, then the
+    // Gate::wires() lists controls, then the AddFrom source, then the
     // target — exactly the operand order the parser expects back.
-    let mut first = true;
-    for qudit in gate.qudits() {
-        if first {
-            let _ = write!(out, " {register}[{}]", qudit.index());
-            first = false;
-        } else {
-            let _ = write!(out, ", {register}[{}]", qudit.index());
-        }
+    let mut separator = " ";
+    for qudit in gate.wires() {
+        let _ = write!(out, "{separator}{register}[{}]", qudit.index());
+        separator = ", ";
     }
     out.push_str(";\n");
 }

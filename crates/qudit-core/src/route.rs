@@ -2,10 +2,13 @@
 //! adjacent sites of a [`CouplingGraph`], with cost models driving the
 //! router's choices.
 //!
-//! The synthesis pipeline lowers everything to gates touching at most two
-//! qudits (`Xij`, `|0⟩-X01`, `X±⋆`), but those gates land on *logical* wire
-//! pairs with no regard for device connectivity.  This module closes the
-//! gap:
+//! The `"route"` stage runs after `lower-to-g-gates` (and inverse-pair
+//! cancellation), so its input is G-gates (`Xij`, `|0⟩-X01`) on *logical*
+//! wire pairs with no regard for device connectivity.  This module closes
+//! the gap by inserting SWAP ladders, which are built from value-controlled
+//! shifts `X±⋆` and a level negation rather than G-gates: a routed circuit
+//! therefore leaves the G-gate set, and its gate counts price each `X±⋆` as
+//! one gate.
 //!
 //! * [`CostModel`] — how expensive a gate is.  [`UniformCost`] counts gates;
 //!   [`NoiseAwareCost`] weighs per-gate-kind error rates with a two-qudit

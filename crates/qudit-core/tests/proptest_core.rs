@@ -4,9 +4,11 @@
 use proptest::prelude::*;
 use qudit_core::depth::circuit_depth;
 use qudit_core::lowering::lower_circuit;
+use qudit_core::math::SquareMatrix;
 use qudit_core::pipeline::{CancelInversePairs, LowerToGGates, PassManager};
 use qudit_core::{
-    Circuit, Control, ControlPredicate, Dimension, Gate, Permutation, QuditId, SingleQuditOp,
+    Circuit, Control, ControlPredicate, Dimension, Gate, GateOp, Permutation, QuditId,
+    SingleQuditOp,
 };
 
 /// A strategy for dimensions 3..=8.
@@ -254,5 +256,106 @@ proptest! {
         }
         // Only the fresh pass missed, once per cached kind.
         prop_assert_eq!(cache.counters().misses, cache.len() as u64);
+    }
+}
+
+/// Parameters of one random gate for [`random_gate`].
+type RawGate = (usize, u8, u32, u32, Vec<u32>);
+
+fn raw_gate() -> impl Strategy<Value = RawGate> {
+    (
+        0usize..=3,
+        0u8..7,
+        0u32..1000,
+        0u32..1000,
+        Just((0u32..6).collect::<Vec<u32>>()).prop_shuffle(),
+    )
+}
+
+/// A valid gate on a 6-qudit register of dimension `d`: up to three
+/// controls with level or predicate tests, and every operation kind
+/// (`Swap`, `Add`, parity flips, `Perm`, `Unitary`, `AddFrom`).
+fn random_gate(raw: &RawGate, dimension: Dimension) -> Gate {
+    let &(controls, kind, a, b, ref wires) = raw;
+    let d = dimension.get();
+    let wire = |i: usize| QuditId::new(wires[i] as usize);
+    let predicates = [
+        ControlPredicate::Level(a % d),
+        ControlPredicate::Odd,
+        ControlPredicate::EvenNonzero,
+        ControlPredicate::NonZero,
+    ];
+    let controls: Vec<Control> = (0..controls)
+        .map(|i| Control::new(wire(i), predicates[(b as usize + i) % 4]))
+        .collect();
+    let target = wire(4);
+    let (i, j) = (a % d, (a % d + 1 + b % (d - 1)) % d);
+    let op = match kind {
+        0 => SingleQuditOp::Swap(i, j),
+        1 => SingleQuditOp::Add(b % d),
+        2 if dimension.is_even() => SingleQuditOp::ParityFlipEven,
+        2 => SingleQuditOp::ParityFlipOdd,
+        3 => {
+            let map: Vec<u32> = (0..d).map(|x| (x * (1 + 2 * (a % 2)) + b) % d).collect();
+            SingleQuditOp::Perm(
+                Permutation::from_map(map).unwrap_or_else(|_| Permutation::identity(dimension)),
+            )
+        }
+        4 => {
+            let map: Vec<usize> = (0..d as usize)
+                .map(|x| (x + b as usize) % d as usize)
+                .collect();
+            SingleQuditOp::Unitary(SquareMatrix::from_permutation(&map).unwrap())
+        }
+        _ => return Gate::add_from(wire(5), kind == 6, target, controls),
+    };
+    Gate::controlled(op, target, controls)
+}
+
+/// Candidates for `is_inverse_of`: the exact inverse, the gate itself, the
+/// gate with its `Swap` levels or `AddFrom` sign flipped, or an unrelated
+/// gate.
+fn partner(gate: &Gate, other: &Gate, choice: u8, dimension: Dimension) -> Gate {
+    match choice {
+        0 => gate.inverse(dimension),
+        1 => gate.clone(),
+        2 => match gate.op() {
+            GateOp::Single(SingleQuditOp::Swap(i, j)) => Gate::controlled(
+                SingleQuditOp::Swap(*j, *i),
+                gate.target(),
+                gate.controls().to_vec(),
+            ),
+            GateOp::AddFrom { source, negate } => {
+                Gate::add_from(*source, *negate, gate.target(), gate.controls().to_vec())
+            }
+            _ => other.clone(),
+        },
+        _ => other.clone(),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `wires`, `arity` and `is_inverse_of` agree with the allocating
+    /// accessors they replace in the per-gate loops.
+    #[test]
+    fn wire_accessors_match_their_allocating_oracles(
+        dimension in any_dimension(),
+        first in raw_gate(),
+        second in raw_gate(),
+        choice in 0u8..4,
+    ) {
+        let gate = random_gate(&first, dimension);
+        prop_assert!(gate.validate(dimension, 6).is_ok());
+        prop_assert_eq!(gate.wires().collect::<Vec<_>>(), gate.qudits());
+        prop_assert_eq!(gate.arity(), gate.qudits().len());
+        let other = partner(&gate, &random_gate(&second, dimension), choice, dimension);
+        prop_assert_eq!(
+            other.is_inverse_of(&gate, dimension),
+            gate.inverse(dimension) == other,
+            "{} after {}", other, gate
+        );
+        prop_assert!(gate.inverse(dimension).is_inverse_of(&gate, dimension));
     }
 }

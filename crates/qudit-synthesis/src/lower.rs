@@ -141,7 +141,13 @@ fn lower_macro_gate_cached(
     Ok(site.restore(&canonical))
 }
 
-fn lower_macro_gate(gate: &Gate, dimension: Dimension, width: usize) -> Result<Vec<Gate>> {
+/// Lowers one macro gate to elementary gates on a register of `width`
+/// qudits (the per-gate step of [`lower_to_elementary`]).
+pub(crate) fn lower_macro_gate(
+    gate: &Gate,
+    dimension: Dimension,
+    width: usize,
+) -> Result<Vec<Gate>> {
     match (gate.controls().len(), gate.op()) {
         // Already elementary.
         (0, GateOp::Single(_)) | (1, GateOp::Single(_)) | (0, GateOp::AddFrom { .. }) => {

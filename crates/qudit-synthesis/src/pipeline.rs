@@ -26,7 +26,7 @@ use crate::error::SynthesisError;
 use crate::lower;
 
 /// Converts a synthesis error into the core error type used by passes.
-fn pass_error(pass: &str, error: SynthesisError) -> QuditError {
+pub(crate) fn pass_error(pass: &str, error: SynthesisError) -> QuditError {
     match error {
         SynthesisError::Core(e) => e,
         other => QuditError::PassFailed {

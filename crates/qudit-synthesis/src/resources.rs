@@ -1,11 +1,22 @@
 //! Resource accounting for synthesised circuits.
+//!
+//! [`Resources::for_circuit`] counts without building the lowered circuits:
+//! both lowering stages work gate by gate, and a macro gate's counts depend
+//! only on its kind (operation, control predicates, dimension and
+//! [`WidthClass`]), not on which wires it uses.  So each kind is lowered
+//! once per call and its counts are summed for every gate of that kind.
 
+use std::collections::HashMap;
 use std::fmt;
 
-use qudit_core::{AncillaUsage, Circuit};
+use qudit_core::cache::{CacheKey, CanonicalSite, LoweringStage, WidthClass};
+use qudit_core::lowering::lower_gate;
+use qudit_core::pipeline::Pass;
+use qudit_core::{AncillaUsage, Circuit, Dimension, Gate};
 
-use crate::compiler::{CompileOptions, OptLevel};
 use crate::error::{Result, SynthesisError};
+use crate::lower::lower_macro_gate;
+use crate::pipeline::{pass_error, LowerToElementary};
 
 /// Gate and ancilla counts of a synthesis, at the three circuit levels used
 /// by the evaluation:
@@ -32,32 +43,88 @@ pub struct Resources {
     pub ancillas: AncillaUsage,
 }
 
+/// The lowered counts of one macro gate.
+#[derive(Debug, Clone, Copy)]
+struct GateCost {
+    elementary: usize,
+    two_qudit: usize,
+    g_gates: usize,
+}
+
+impl GateCost {
+    /// Lowers `gate` through both stages and counts the output.
+    ///
+    /// An elementary-stage error is returned as the outer error.  A G-stage
+    /// error is the inner one, because the staged compile reports it only
+    /// when no gate of the circuit fails the elementary stage.
+    fn of(gate: &Gate, dimension: Dimension, width: usize) -> Result<qudit_core::Result<GateCost>> {
+        let elementary = lower_macro_gate(gate, dimension, width)
+            .map_err(|e| SynthesisError::from(pass_error(LowerToElementary.name(), e)))?;
+        let g_gates: qudit_core::Result<usize> = elementary
+            .iter()
+            .map(|g| lower_gate(g, dimension).map(|lowered| lowered.len()))
+            .sum();
+        Ok(g_gates.map(|g_gates| GateCost {
+            elementary: elementary.len(),
+            two_qudit: elementary.iter().filter(|g| g.arity() == 2).count(),
+            g_gates,
+        }))
+    }
+}
+
 impl Resources {
     /// Computes the resources of a macro circuit.
     ///
+    /// The counts equal those of an [`OptLevel::O0`](crate::OptLevel::O0)
+    /// compile (the first stage's output for the elementary levels, the
+    /// final circuit for the G-gates), but no lowered circuit is built:
+    /// each gate kind is lowered once and its counts are memoised by the
+    /// lowering cache's key.
+    ///
     /// # Errors
     ///
-    /// Returns an error when the circuit cannot be lowered (for example when
-    /// it contains a general unitary gate, which has no G-gate expansion); in
-    /// that case use [`Resources::for_macro_only`].
+    /// Returns the error the `O0` compile returns: for a gate the
+    /// constructions cannot lower (three or more controls, an even-`d`
+    /// two-controlled gate with no free wire), or for a general unitary
+    /// gate, which has no G-gate expansion (use
+    /// [`Resources::for_macro_only`] for those circuits).
     pub fn for_circuit(circuit: &Circuit, ancillas: AncillaUsage) -> Result<Self> {
-        // One lowering-only (`O0`) compilation yields every level: the
-        // elementary counts from the first stage's output profile, the
-        // G-gate count from the second's.
-        let compiler = CompileOptions::new()
-            .opt_level(OptLevel::O0)
-            .shape(circuit.dimension(), circuit.width())
-            .compiler();
-        let result = compiler.compile(circuit).map_err(SynthesisError::from)?;
-        let elementary = &result.stats[0].after;
-        Ok(Resources {
-            width: circuit.width(),
-            macro_gates: circuit.len(),
-            elementary_gates: elementary.gates,
-            two_qudit_gates: elementary.two_qudit_gates,
-            g_gates: result.circuit.len(),
-            ancillas,
-        })
+        let (dimension, width) = (circuit.dimension(), circuit.width());
+        let mut memo: HashMap<CacheKey, GateCost> = HashMap::new();
+        let mut resources = Resources::for_macro_only(circuit, ancillas);
+        let mut g_error = None;
+        for gate in circuit.gates() {
+            // General unitaries have no key and are never memoised.
+            let site = CanonicalSite::of(
+                LoweringStage::Elementary,
+                gate,
+                dimension,
+                WidthClass::of(width),
+                &[],
+            );
+            let cost = match site.as_ref().and_then(|site| memo.get(site.key())) {
+                Some(cost) => *cost,
+                None => match GateCost::of(gate, dimension, width)? {
+                    Ok(cost) => {
+                        if let Some(site) = site {
+                            memo.insert(site.key().clone(), cost);
+                        }
+                        cost
+                    }
+                    Err(error) => {
+                        g_error.get_or_insert(error);
+                        continue;
+                    }
+                },
+            };
+            resources.elementary_gates += cost.elementary;
+            resources.two_qudit_gates += cost.two_qudit;
+            resources.g_gates += cost.g_gates;
+        }
+        match g_error {
+            Some(error) => Err(SynthesisError::from(error)),
+            None => Ok(resources),
+        }
     }
 
     /// Computes macro-level resources only, for circuits containing general

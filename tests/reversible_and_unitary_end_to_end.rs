@@ -154,29 +154,3 @@ fn unitary_synthesis_of_permutation_matrices_matches_reversible_compiler() {
         assert_eq!(&via_reversible[..2], expected.as_slice());
     }
 }
-
-#[test]
-fn experiment_smoke_quick_report_contains_every_section() {
-    use qudit_bench::experiments::{full_report, Scale};
-    let report = full_report(Scale::Quick);
-    for heading in [
-        "E1",
-        "E2",
-        "E3",
-        "E3a",
-        "E4",
-        "E5",
-        "E6",
-        "E7",
-        "E8",
-        "E9",
-        "E10",
-        "E11",
-        "Figure verification",
-    ] {
-        assert!(
-            report.contains(heading),
-            "report is missing section {heading}"
-        );
-    }
-}
